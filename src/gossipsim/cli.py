@@ -32,7 +32,7 @@ from .config import (
     run_config_to_dict,
     spawn_seeded,
 )
-from .diagnostics import read_trace_csv, write_trace_csv
+from .diagnostics import TRACE_COLUMNS, read_trace_csv, write_trace_csv
 from .engine import run_simulation
 from .objective import suite_digest
 
@@ -133,21 +133,28 @@ def cmd_sweep(config_path, axis, values, seeds, out_dir, jobs=None) -> int:
             raise ConfigError("sweep needs a nonempty values list")
         if not seeds:
             raise ConfigError("sweep needs a nonempty seeds list")
+        if not all(math.isfinite(v) or (axis == "alpha" and v == math.inf) for v in values):
+            raise ConfigError("sweep values must be finite numbers (alpha may be inf)")
         base = load_run_config(config_path)
-    except ConfigError as exc:
+        out = Path(out_dir)
+        tasks = []
+        for value in values:
+            label = _fmt_value(value)
+            for seed in seeds:
+                config = _apply_axis(spawn_seeded(base, seed), axis, value)
+                run_dir = out / "runs" / f"{axis}={label}" / f"seed={seed}"
+                tasks.append((config, label, str(run_dir)))
+        env_jobs = os.environ.get("GOSSIPSIM_JOBS")
+        if env_jobs is not None:
+            try:
+                jobs = int(env_jobs)
+            except ValueError:
+                raise ConfigError(f"GOSSIPSIM_JOBS must be an integer, got {env_jobs!r}") from None
+        jobs = jobs or 1
+    except ValueError as exc:  # ConfigError, or a swept value out of range
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    out = Path(out_dir)
-    tasks = []
-    for value in values:
-        label = _fmt_value(value)
-        for seed in seeds:
-            config = _apply_axis(spawn_seeded(base, seed), axis, value)
-            run_dir = out / "runs" / f"{axis}={label}" / f"seed={seed}"
-            tasks.append((config, label, str(run_dir)))
-
-    jobs = int(os.environ.get("GOSSIPSIM_JOBS", jobs or 1))
     try:
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -240,11 +247,18 @@ def cmd_check(out_dir) -> int:
         if not ok:
             failures.append(name)
 
-    nonneg_ok, counts_ok, order_ok, zero_gap_ok = True, True, True, True
-    nonneg_where = counts_where = order_where = zero_where = ""
+    rows_ok, finite_ok, nonneg_ok, counts_ok, order_ok, zero_gap_ok = (True,) * 6
+    rows_where = finite_where = nonneg_where = counts_where = order_where = zero_where = ""
     for trace, rows, config in found:
         n = config["n"]
+        if len(rows) != config["rounds"]:
+            rows_ok, rows_where = False, f"{trace} ({len(rows)} rows, {config['rounds']} rounds)"
+        # ridge has no accuracy: its mean_acc column is NaN by design
+        finite_cols = [c for c in TRACE_COLUMNS
+                       if not (c == "mean_acc" and config["suite"]["kind"] == "ridge")]
         for row in rows:
+            if not all(math.isfinite(getattr(row, c)) for c in finite_cols):
+                finite_ok, finite_where = False, f"{trace} t={row.t}"
             if min(row.dist_wbar_sq, row.dist_wtilde_sq, row.div_lhs, row.div_rhs_main,
                    row.div_rhs_appendix, row.beta_t, row.gap_term, row.gamma) < 0:
                 nonneg_ok, nonneg_where = False, f"{trace} t={row.t}"
@@ -257,6 +271,10 @@ def cmd_check(out_dir) -> int:
             bound_total += 1
             bound_hold += row.div_lhs <= row.div_rhs_appendix
 
+    check("row count", rows_ok,
+          "one row per round" if rows_ok else f"wrong row count in {rows_where}")
+    check("finite values", finite_ok,
+          "every column finite" if finite_ok else f"non-finite value in {finite_where}")
     check("nonnegative distances", nonneg_ok,
           "all distance and bound columns nonnegative" if nonneg_ok else f"negative value in {nonneg_where}")
     check("node counts", counts_ok,
@@ -265,10 +283,10 @@ def cmd_check(out_dir) -> int:
           "appendix constant dominates main constant" if order_ok else f"violated in {order_where}")
     check("zero gap at full participation", zero_gap_ok,
           "div_lhs <= 1e-12 whenever n2=0" if zero_gap_ok else f"violated in {zero_where}")
-    rate = bound_hold / bound_total
+    rate = bound_hold / bound_total if bound_total else 0.0
     check(
         "divergence bound rate",
-        rate >= 0.99,
+        bound_total > 0 and rate >= 0.99,
         f"div_lhs <= div_rhs_appendix on {bound_hold}/{bound_total} rounds ({rate:.2%})",
     )
 

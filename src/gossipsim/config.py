@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .accessibility import ChurnConfig
 from .dataparts import PartitionConfig, partition, synthetic_blobs
@@ -70,13 +70,21 @@ def _section(raw: dict, name: str, allowed: dict) -> dict:
 
 
 def _float(v) -> float:
-    if isinstance(v, str):
-        if v.lower() in ("inf", "infinity"):
-            return math.inf
-        return float(v)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    """A finite number.  JSON's NaN and Infinity literals are rejected:
+    the range checks downstream cannot see a NaN."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise ValueError(f"expected a number, got {v!r}")
-    return float(v)
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return x
+
+
+def _alpha(v) -> float:
+    """A finite number, or infinity for the i.i.d. limit of the Dirichlet."""
+    if v == math.inf or (isinstance(v, str) and v.lower() in ("inf", "infinity")):
+        return math.inf
+    return _float(v)
 
 
 def _int(v) -> int:
@@ -99,7 +107,7 @@ def _str(v) -> str:
 
 def _eta(raw) -> EtaSchedule:
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return EtaSchedule("constant", float(raw))
+        return EtaSchedule("constant", _float(raw))
     if isinstance(raw, dict):
         kwargs = _section(raw, "eta", {"kind": (_str, "kind"), "eta0": (_float, "eta0")})
         return EtaSchedule(**kwargs)
@@ -128,7 +136,7 @@ _CHURN_KEYS = {"dropout_p": (_float, "dropout_p"), "lambda": (_float, "rate")}
 
 _PARTITION_KEYS = {
     "scheme": (_str, "scheme"),
-    "alpha": (_float, "alpha"),
+    "alpha": (_alpha, "alpha"),
     "per_node": (_int, "per_node"),
 }
 
@@ -252,19 +260,4 @@ def build_problem_suite(config: RunConfig) -> ProblemSuite:
 
 def spawn_seeded(config: RunConfig, seed: int) -> RunConfig:
     """Same experiment with a different seed."""
-    sim = config.sim
-    new_sim = SimConfig(
-        n=sim.n,
-        rounds=sim.rounds,
-        eta=sim.eta,
-        local_epochs=sim.local_epochs,
-        batch_size=sim.batch_size,
-        mobility=sim.mobility,
-        churn=sim.churn,
-        seed=seed,
-        offline_training=sim.offline_training,
-        deemphasis=sim.deemphasis,
-        wtilde_mode=sim.wtilde_mode,
-        init_scale=sim.init_scale,
-    )
-    return RunConfig(sim=new_sim, partition=config.partition, suite=config.suite)
+    return replace(config, sim=replace(config.sim, seed=seed))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .objective import local_gradient
+from .objective import node_mean_gradient
 
 __all__ = [
     "TraceRow",
@@ -106,7 +106,7 @@ def partial_average(models, accessible, mode: str = "literal") -> np.ndarray:
     raise ValueError(f"unknown partial-average mode {mode!r}")
 
 
-def gradient_gap(models, accessible, suite, mode: str = "literal") -> float:
+def gradient_gap(models, accessible, suite) -> float:
     """Norm of the difference between the descent directions seen by the
     two averages.
 
@@ -114,24 +114,17 @@ def gradient_gap(models, accessible, suite, mode: str = "literal") -> float:
     mean model.  The split side evaluates each accessible node's gradient
     at the accessible-group mean (weight 1/n) and each dropped node's
     gradient at its own model (weight 1/n).  Zero when nobody is dropped
-    or when all models coincide.  Both modes coincide here because the
-    split side already carries the group-size weights.
+    or when all models coincide.  ``suite`` is a ProblemSuite; its pooled
+    view is built on first use.
     """
-    del mode  # kept for interface symmetry with partial_average
     arr = _as_models(models)
     mask = _mask(arr.shape[0], accessible)
-    wbar = arr.mean(axis=0)
-    n = arr.shape[0]
-    g_full = np.mean([local_gradient(p, wbar) for p in suite.problems], axis=0)
-    g_split = np.zeros_like(g_full)
+    split = arr.copy()
     if mask.any():
-        mean_in = arr[mask].mean(axis=0)
-        for i in np.flatnonzero(mask):
-            g_split += local_gradient(suite.problems[i], mean_in)
-    for i in np.flatnonzero(~mask):
-        g_split += local_gradient(suite.problems[i], arr[i])
-    g_split /= n
-    return float(np.linalg.norm(g_split - g_full))
+        split[mask] = arr[mask].mean(axis=0)
+    full = np.broadcast_to(arr.mean(axis=0), arr.shape)
+    diff = node_mean_gradient(suite, split) - node_mean_gradient(suite, full)
+    return float(np.linalg.norm(diff))
 
 
 def gradient_gap_bound(

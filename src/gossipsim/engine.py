@@ -244,9 +244,9 @@ def _round_trace(result: RoundResult, suite: ProblemSuite, cfg: SimConfig,
     )
     # each node's model is scored on the whole network's data, then
     # averaged over nodes, mirroring a mean test metric
-    mean_loss = float(np.mean([global_loss(suite.problems, w) for w in models_after]))
+    mean_loss = float(np.mean(global_loss(suite, models_after)))
     if suite.kind == "softmax":
-        mean_acc = float(np.mean([global_accuracy(suite.problems, w) for w in models_after]))
+        mean_acc = float(np.mean(global_accuracy(suite, models_after)))
     else:
         mean_acc = math.nan
     return TraceRow(
@@ -282,7 +282,7 @@ def run_simulation(cfg: SimConfig, suite: ProblemSuite, observer=None):
     streams = derive_streams(cfg.seed)
     state = init_state(cfg, suite, streams)
     grad_bound_sq = max(
-        suite.grad_bound_sq, grad_bound_estimate(suite.problems, list(state.models))
+        suite.grad_bound_sq, grad_bound_estimate(suite, list(state.models))
     )
     envelope = distance_to_optimum(full_average(state.models), suite.w_star)
     rows = []

@@ -11,6 +11,13 @@ flattened row-major.  The suite builder also computes smoothness and
 strong-convexity constants, the exact global optimum, per-node optima,
 the data-heterogeneity gap, and an empirical bound on squared stochastic
 gradient norms.
+
+The per-round diagnostics score every node's model on every shard.  They
+run over one pooled view of the shards (:class:`PooledShards`): the
+samples stacked in node order with each shard's start offset, so a
+model is scored on all shards with one matrix product and a segmented
+sum.  ``local_loss``, ``local_gradient`` and ``per_sample_grad_sq_norms``
+are the per-node reference the pooled functions are tested against.
 """
 
 from __future__ import annotations
@@ -18,22 +25,27 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
 
 __all__ = [
     "NodeProblem",
+    "PooledShards",
     "ProblemSuite",
     "local_loss",
     "local_gradient",
     "local_accuracy",
     "per_sample_grad_sq_norms",
+    "pool_shards",
     "constants",
     "local_optimum",
     "global_optimum",
     "global_loss",
+    "global_accuracy",
     "global_gradient",
+    "node_mean_gradient",
     "heterogeneity_gap",
     "grad_bound_estimate",
     "build_suite",
@@ -140,13 +152,6 @@ def local_accuracy(p: NodeProblem, w) -> float:
     return float(np.mean(pred == p.targets.astype(int)))
 
 
-def global_accuracy(problems, w) -> float:
-    """Accuracy of one model on the union of all shards (softmax)."""
-    problems = list(problems)
-    hits = sum(local_accuracy(p, w) * p.m for p in problems)
-    return float(hits / sum(p.m for p in problems))
-
-
 def per_sample_grad_sq_norms(p: NodeProblem, w) -> np.ndarray:
     """Squared gradient norm of every single-sample batch at ``w``."""
     w = _check_dim(p, w)
@@ -165,6 +170,123 @@ def per_sample_grad_sq_norms(p: NodeProblem, w) -> np.ndarray:
     xx = np.einsum("ij,ij->i", x, x)
     cross = np.einsum("jk,kd,jd->j", a, mat, x)
     return aa * xx + 2.0 * p.reg * cross + p.reg**2 * (w @ w)
+
+
+@dataclass(frozen=True)
+class PooledShards:
+    """Every node's shard stacked in node order.
+
+    ``whole`` is the union of the samples as one problem; node i owns its
+    rows ``offsets[i] : offsets[i] + sizes[i]`` (CSR ``indptr`` without
+    the end).  Every shard is nonempty, which ``np.add.reduceat`` over
+    ``offsets`` relies on.
+    """
+
+    whole: NodeProblem
+    sizes: np.ndarray
+    offsets: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.sizes.size
+
+
+def pool_shards(problems) -> PooledShards:
+    """Stack node problems that share kind, reg, class count and feature
+    width into one pooled view."""
+    problems = list(problems)
+    if not problems:
+        raise ValueError("need at least one node problem")
+    first = problems[0]
+    shape = (first.kind, first.reg, first.n_classes, first.features.shape[1])
+    if any((p.kind, p.reg, p.n_classes, p.features.shape[1]) != shape for p in problems):
+        raise ValueError("pooled shards must share kind, reg, class count and feature width")
+    sizes = np.array([p.m for p in problems])
+    targets = np.concatenate([p.targets for p in problems])
+    whole = NodeProblem(
+        np.concatenate([p.features for p in problems]),
+        targets if first.kind == "ridge" else targets.astype(int),
+        reg=first.reg,
+        kind=first.kind,
+        n_classes=first.n_classes,
+    )
+    return PooledShards(whole, sizes, np.concatenate(([0], np.cumsum(sizes[:-1]))))
+
+
+def _pooled(source) -> PooledShards:
+    """The pooled view of a suite (cached on it) or of a sequence of node
+    problems (built on each call)."""
+    if isinstance(source, ProblemSuite):
+        return source.pooled
+    return pool_shards(source)
+
+
+def _model_stack(pool: PooledShards, models) -> tuple[np.ndarray, bool]:
+    """``models`` as a (k, d) stack, and whether it was one (d,) model."""
+    w = np.asarray(models, dtype=float)
+    stack = np.atleast_2d(w)
+    if stack.ndim != 2 or stack.shape[1] != pool.whole.dim:
+        raise ValueError(
+            f"models have shape {w.shape}, expected ({pool.whole.dim},) or (k, {pool.whole.dim})"
+        )
+    return stack, w.ndim == 1
+
+
+def _mean_shard_loss(pool: PooledShards, w: np.ndarray) -> float:
+    p = pool.whole
+    if p.kind == "ridge":
+        resid = p.features @ w - p.targets
+        per_sample = 0.5 * resid * resid
+    else:
+        logits = p.features @ w.reshape(p.n_classes, -1).T
+        top = logits.max(axis=1)
+        log_z = np.log(np.exp(logits - top[:, None]).sum(axis=1)) + top
+        per_sample = log_z - logits[np.arange(p.m), p.targets]
+    shard_means = np.add.reduceat(per_sample, pool.offsets) / pool.sizes
+    return float(shard_means.mean() + 0.5 * p.reg * (w @ w))
+
+
+def global_loss(problems, models):
+    """Unweighted mean of the node losses (the network objective).
+
+    ``problems`` is a ProblemSuite or a sequence of node problems.  ``models`` is one (d,) model, giving a float, or a (k, d)
+    stack, giving an array of k values.
+    """
+    pool = _pooled(problems)
+    stack, single = _model_stack(pool, models)
+    values = np.array([_mean_shard_loss(pool, w) for w in stack])
+    return float(values[0]) if single else values
+
+
+def global_accuracy(problems, models):
+    """Accuracy on the union of all shards (softmax), of one (d,) model as
+    a float or of each model of a (k, d) stack as an array."""
+    pool = _pooled(problems)
+    stack, single = _model_stack(pool, models)
+    values = np.array([local_accuracy(pool.whole, w) for w in stack])
+    return float(values[0]) if single else values
+
+
+def node_mean_gradient(problems, points) -> np.ndarray:
+    """Mean of the node gradients, node i's taken at ``points[i]``:
+    (1/n) sum_i grad F_i(points[i]) for an (n, d) ``points``."""
+    pool = _pooled(problems)
+    p = pool.whole
+    points = np.asarray(points, dtype=float)
+    if points.shape != (pool.n, p.dim):
+        raise ValueError(f"points have shape {points.shape}, expected ({pool.n}, {p.dim})")
+    # every sample is evaluated at its own node's point, weighted 1/(n m_i)
+    at = np.repeat(points, pool.sizes, axis=0)
+    weight = np.repeat(1.0 / (pool.n * pool.sizes), pool.sizes)
+    if p.kind == "ridge":
+        resid = np.einsum("sd,sd->s", p.features, at) - p.targets
+        grad = p.features.T @ (weight * resid)
+    else:
+        mats = at.reshape(p.m, p.n_classes, -1)
+        probs = _softmax_probs(np.einsum("sd,skd->sk", p.features, mats))
+        probs[np.arange(p.m), p.targets] -= 1.0
+        grad = ((weight[:, None] * probs).T @ p.features).ravel()
+    return grad + p.reg * points.mean(axis=0)
 
 
 def _curvature(p: NodeProblem) -> float:
@@ -187,12 +309,6 @@ def constants(problems) -> tuple[float, float]:
     if problems[0].kind == "ridge":
         return top + reg, reg
     return top / 2.0 + reg, reg
-
-
-def global_loss(problems, w) -> float:
-    """Unweighted mean of the node losses (the network objective)."""
-    problems = list(problems)
-    return float(np.mean([local_loss(p, w) for p in problems]))
 
 
 def global_gradient(problems, w) -> np.ndarray:
@@ -246,8 +362,10 @@ def global_optimum(problems, grad_tol: float = 1e-10, max_iter: int = 200_000):
         w = _ridge_solve([(p.features, p.targets, p.m, p.reg) for p in problems])
         return w, global_loss(problems, w)
     dim = problems[0].dim
+    # L-BFGS is fed per-node sums: its line search turns last-digit changes
+    # of the loss into shifts of the optimum near its 1e-10 tolerance
     res = minimize(
-        lambda w: (global_loss(problems, w), global_gradient(problems, w)),
+        lambda w: (np.mean([local_loss(p, w) for p in problems]), global_gradient(problems, w)),
         np.zeros(dim),
         jac=True,
         method="L-BFGS-B",
@@ -299,15 +417,13 @@ def heterogeneity_gap(problems, w_star, local_values, weights: str = "data") -> 
 def grad_bound_estimate(problems, trajectory) -> float:
     """Empirical bound on squared per-sample gradient norms: the max over
     nodes, single-sample batches and trajectory points, times a 1.1
-    safety factor.  Running it on a grown trajectory never decreases."""
-    problems = list(problems)
+    safety factor.  Running it on a grown trajectory never decreases.
+    ``problems`` is as in :func:`global_loss`."""
+    pool = _pooled(problems)
     trajectory = list(trajectory)
     if not trajectory:
         raise ValueError("trajectory must be nonempty")
-    worst = 0.0
-    for w in trajectory:
-        for p in problems:
-            worst = max(worst, float(per_sample_grad_sq_norms(p, w).max()))
+    worst = max(float(per_sample_grad_sq_norms(pool.whole, w).max()) for w in trajectory)
     return 1.1 * worst
 
 
@@ -336,6 +452,11 @@ class ProblemSuite:
     @property
     def kind(self) -> str:
         return self.problems[0].kind
+
+    @cached_property
+    def pooled(self) -> PooledShards:
+        """The shards stacked for the diagnostics, built on first use."""
+        return pool_shards(self.problems)
 
 
 def build_suite(

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 from gossipsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from gossipsim.diagnostics import read_trace_csv
+from gossipsim.config import ConfigError, run_config_from_dict, spawn_seeded
+from gossipsim.diagnostics import TRACE_COLUMNS, read_trace_csv
 
 SMALL = {
     "n": 4,
@@ -62,6 +65,44 @@ def test_run_rejects_malformed_json_with_line_info(tmp_path, capsys):
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == EXIT_USAGE
     assert "line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("patch, field", [
+    ({"churn": {"lambda": math.nan}}, "churn.lambda"),
+    ({"eta": math.nan}, "eta"),
+    ({"eta": {"kind": "constant", "eta0": math.inf}}, "eta.eta0"),
+    ({"mobility": {"radius": -math.inf}}, "mobility.radius"),
+    ({"init_scale": "nan"}, "init_scale"),
+    ({"suite": {"target_curvature": "inf"}}, "suite.target_curvature"),
+    ({"partition": {"alpha": math.nan}}, "partition.alpha"),
+])
+def test_run_rejects_non_finite_numbers(tmp_path, capsys, patch, field):
+    cfg = _write_config(tmp_path, dict(SMALL, **patch))  # json writes NaN/Infinity literals
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("alpha", [math.inf, "inf", "Infinity"])
+def test_config_alpha_alone_may_be_infinite(alpha):
+    assert run_config_from_dict({"partition": {"alpha": alpha}}).partition.alpha == math.inf
+    with pytest.raises(ConfigError):
+        run_config_from_dict({"partition": {"per_node": 2}, "deemphasis": alpha})
+
+
+def test_spawn_seeded_keeps_every_other_field():
+    base = run_config_from_dict({
+        "n": 5, "rounds": 7, "eta": {"kind": "decay", "eta0": 0.3}, "local_epochs": 3,
+        "batch_size": 9, "seed": 1, "offline_training": False, "deemphasis": 0.5,
+        "wtilde_mode": "weighted", "init_scale": 0.2, "churn": {"lambda": 2.0},
+    })
+    spawned = spawn_seeded(base, 11)
+    assert spawned.sim.seed == 11
+    for f in dataclasses.fields(base.sim):
+        if f.name != "seed":
+            assert getattr(spawned.sim, f.name) == getattr(base.sim, f.name), f.name
+    assert (spawned.partition, spawned.suite) == (base.partition, base.suite)
 
 
 def test_run_same_seed_twice_identical_sha(tmp_path):
@@ -168,6 +209,34 @@ def test_check_flags_tampered_trace(tmp_path, capsys):
     assert "nonnegative distances" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("column", ["beta_t", "div_lhs", "mean_loss"])
+def test_check_flags_non_finite_column(tmp_path, capsys, column):
+    cfg = _write_config(tmp_path, SMALL)
+    out = tmp_path / "run"
+    main(["run", "--config", cfg, "--out", str(out)])
+    trace = out / "trace.csv"
+    lines = trace.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[TRACE_COLUMNS.index(column)] = "nan"
+    lines[2] = ",".join(cells)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", "--out", str(out)]) == EXIT_RUNTIME
+    assert "FAIL  finite values" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("keep", [0, 2])
+def test_check_fails_on_missing_rows_without_crashing(tmp_path, capsys, keep):
+    cfg = _write_config(tmp_path, SMALL)
+    out = tmp_path / "run"
+    main(["run", "--config", cfg, "--out", str(out)])
+    trace = out / "trace.csv"
+    trace.write_text("\n".join(trace.read_text().splitlines()[: 1 + keep]) + "\n")
+    capsys.readouterr()
+    assert main(["check", "--out", str(out)]) == EXIT_RUNTIME
+    assert "FAIL  row count" in capsys.readouterr().out
+
+
 def test_check_missing_outputs_exits_two(tmp_path):
     assert main(["check", "--out", str(tmp_path / "nothing")]) == EXIT_USAGE
     empty = tmp_path / "empty"
@@ -187,6 +256,28 @@ def test_sweep_parallel_jobs_match_serial(tmp_path, monkeypatch):
     for trace in serial.glob("runs/*/*/trace.csv"):
         twin = parallel / trace.relative_to(serial)
         assert trace.read_bytes() == twin.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["abc", "2.5", ""])
+def test_sweep_bad_jobs_env_is_a_config_error(tmp_path, capsys, monkeypatch, jobs):
+    cfg = _write_config(tmp_path, SMALL)
+    monkeypatch.setenv("GOSSIPSIM_JOBS", jobs)
+    code = main(["sweep", "--config", cfg, "--axis", "dropout_p",
+                 "--values", "0", "--seeds", "1", "--out", str(tmp_path / "s")])
+    assert code == EXIT_USAGE
+    assert "config error: GOSSIPSIM_JOBS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("lambda", "nan"), ("eta", "inf"), ("alpha", "1,-inf"), ("dropout_p", "0,2"),
+])
+def test_sweep_rejects_bad_axis_values(tmp_path, capsys, axis, values):
+    cfg = _write_config(tmp_path, SMALL)
+    code = main(["sweep", "--config", cfg, "--axis", axis,
+                 "--values", values, "--seeds", "1", "--out", str(tmp_path / "s")])
+    assert code == EXIT_USAGE
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_module_entrypoint_runs(child_env):
