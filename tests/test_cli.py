@@ -88,7 +88,7 @@ def test_run_rejects_non_finite_numbers(tmp_path, capsys, patch, field):
 def test_config_alpha_alone_may_be_infinite(alpha):
     assert run_config_from_dict({"partition": {"alpha": alpha}}).partition.alpha == math.inf
     with pytest.raises(ConfigError):
-        run_config_from_dict({"partition": {"per_node": 2}, "deemphasis": alpha})
+        run_config_from_dict({"deemphasis": alpha})
 
 
 def test_spawn_seeded_keeps_every_other_field():
