@@ -14,6 +14,7 @@ from .accessibility import (
     AccessibilityState,
     ChurnConfig,
     absence_duration,
+    accessible_mask,
     init_accessibility,
     partition_nodes,
     rounds_since_accessible,
@@ -44,7 +45,6 @@ from .engine import (
     advance_round,
     derive_streams,
     init_state,
-    run_round,
     run_simulation,
 )
 from .gossip import (
@@ -79,6 +79,5 @@ from .objective import (
     local_loss,
     local_optimum,
     suite_digest,
-    suite_from_json,
     suite_to_json,
 )

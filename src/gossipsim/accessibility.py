@@ -8,7 +8,6 @@ intersects the two.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,10 +21,7 @@ __all__ = [
     "absence_duration",
     "rounds_since_accessible",
     "partition_nodes",
-    "state_to_dict",
-    "state_from_dict",
-    "write_state_json",
-    "read_state_json",
+    "accessible_mask",
 ]
 
 
@@ -123,28 +119,23 @@ def partition_nodes(state: AccessibilityState):
     return accessible, dropped, len(accessible), len(dropped)
 
 
-def state_to_dict(state: AccessibilityState) -> dict:
-    return {
-        "accessible": state.accessible.astype(int).tolist(),
-        "rejoin_at": {str(k): int(v) for k, v in state.rejoin_at.items()},
-        "last_accessible": state.last_accessible.tolist(),
-    }
+def accessible_mask(n: int, accessible) -> np.ndarray:
+    """Boolean length-``n`` mask of the accessible nodes.
 
-
-def state_from_dict(payload: dict) -> AccessibilityState:
-    return AccessibilityState(
-        np.asarray(payload["accessible"], dtype=bool),
-        {int(k): int(v) for k, v in payload["rejoin_at"].items()},
-        np.asarray(payload["last_accessible"], dtype=np.int64),
-    )
-
-
-def write_state_json(path, state: AccessibilityState) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(state_to_dict(state), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_state_json(path) -> AccessibilityState:
-    with open(path) as fh:
-        return state_from_dict(json.load(fh))
+    ``accessible`` is a boolean mask (returned as is), or a set or array
+    of node ids.  Ids outside [0, n) are rejected instead of wrapping
+    around through negative indexing.
+    """
+    if isinstance(accessible, (set, frozenset)):
+        accessible = list(accessible)
+    arr = np.asarray(accessible)
+    if arr.dtype == bool:
+        if arr.shape != (n,):
+            raise ValueError("boolean accessibility mask has wrong length")
+        return arr
+    ids = arr.astype(int)
+    if np.any((ids < 0) | (ids >= n)):
+        raise ValueError(f"node ids must lie in [0, {n})")
+    mask = np.zeros(n, dtype=bool)
+    mask[ids] = True
+    return mask

@@ -33,7 +33,7 @@ from .config import (
     spawn_seeded,
 )
 from .diagnostics import TRACE_COLUMNS, read_trace_csv, write_trace_csv
-from .engine import run_simulation
+from .engine import EtaSchedule, run_simulation
 from .objective import suite_digest
 
 SWEEP_AXES = ("dropout_p", "lambda", "alpha", "deemphasis", "eta")
@@ -212,20 +212,25 @@ def cmd_sweep(config_path, axis, values, seeds, out_dir, jobs=None) -> int:
     return EXIT_OK
 
 
-def _eta_at(config: dict, t: int) -> float:
-    eta = config["eta"]
-    return eta["eta0"] if eta["kind"] == "constant" else eta["eta0"] / (1.0 + t)
-
-
 def _check_traces(out: Path):
-    """Yield (trace path, rows, config echo) for every run under out."""
-    manifests = sorted(out.rglob("manifest.json"))
-    for mpath in manifests:
-        with open(mpath) as fh:
-            manifest = json.load(fh)
-        trace = mpath.parent / "trace.csv"
-        if trace.exists():
-            yield trace, read_trace_csv(trace), manifest["config"]
+    """(trace path, rows, n, rounds, whether ridge, eta schedule) for every
+    run under out, read from its manifest's config echo.  A file that
+    cannot be read raises ValueError naming it."""
+    found = []
+    for mpath in sorted(out.rglob("manifest.json")):
+        path = mpath
+        try:
+            with open(mpath) as fh:
+                config = json.load(fh)["config"]
+            run = (config["n"], config["rounds"], config["suite"]["kind"] == "ridge",
+                   EtaSchedule(**config["eta"]))
+            path = mpath.parent / "trace.csv"
+            if path.exists():
+                found.append((path, read_trace_csv(path), *run))
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise ValueError(f"{path}: {reason}") from None
+    return found
 
 
 def cmd_check(out_dir) -> int:
@@ -233,7 +238,11 @@ def cmd_check(out_dir) -> int:
     if not out.exists():
         print(f"check error: output directory {out} not found", file=sys.stderr)
         return EXIT_USAGE
-    found = list(_check_traces(out))
+    try:
+        found = _check_traces(out)
+    except ValueError as exc:
+        print(f"check error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     if not found:
         print("check error: no completed runs (manifest.json + trace.csv) found", file=sys.stderr)
         return EXIT_USAGE
@@ -249,13 +258,11 @@ def cmd_check(out_dir) -> int:
 
     rows_ok, finite_ok, nonneg_ok, counts_ok, order_ok, zero_gap_ok = (True,) * 6
     rows_where = finite_where = nonneg_where = counts_where = order_where = zero_where = ""
-    for trace, rows, config in found:
-        n = config["n"]
-        if len(rows) != config["rounds"]:
-            rows_ok, rows_where = False, f"{trace} ({len(rows)} rows, {config['rounds']} rounds)"
+    for trace, rows, n, rounds, ridge, eta in found:
+        if len(rows) != rounds:
+            rows_ok, rows_where = False, f"{trace} ({len(rows)} rows, {rounds} rounds)"
         # ridge has no accuracy: its mean_acc column is NaN by design
-        finite_cols = [c for c in TRACE_COLUMNS
-                       if not (c == "mean_acc" and config["suite"]["kind"] == "ridge")]
+        finite_cols = [c for c in TRACE_COLUMNS if not (c == "mean_acc" and ridge)]
         for row in rows:
             if not all(math.isfinite(getattr(row, c)) for c in finite_cols):
                 finite_ok, finite_where = False, f"{trace} t={row.t}"
@@ -264,7 +271,7 @@ def cmd_check(out_dir) -> int:
                 nonneg_ok, nonneg_where = False, f"{trace} t={row.t}"
             if row.n1 < 0 or row.n2 < 0 or row.n1 + row.n2 != n:
                 counts_ok, counts_where = False, f"{trace} t={row.t}"
-            if _eta_at(config, row.t) <= 1.0 and row.div_rhs_appendix < row.div_rhs_main:
+            if eta(row.t) <= 1.0 and row.div_rhs_appendix < row.div_rhs_main:
                 order_ok, order_where = False, f"{trace} t={row.t}"
             if row.n2 == 0 and row.div_lhs > 1e-12:
                 zero_gap_ok, zero_where = False, f"{trace} t={row.t}"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .accessibility import ChurnConfig
 from .dataparts import PartitionConfig, partition, synthetic_blobs
@@ -195,45 +195,16 @@ def load_run_config(path) -> RunConfig:
 
 
 def run_config_to_dict(config: RunConfig) -> dict:
-    """Canonical echo of a config (what the manifest records)."""
-    sim, part, suite = config.sim, config.partition, config.suite
-    return {
-        "n": sim.n,
-        "rounds": sim.rounds,
-        "eta": {"kind": sim.eta.kind, "eta0": sim.eta.eta0},
-        "local_epochs": sim.local_epochs,
-        "batch_size": sim.batch_size,
-        "seed": sim.seed,
-        "offline_training": sim.offline_training,
-        "deemphasis": sim.deemphasis,
-        "wtilde_mode": sim.wtilde_mode,
-        "init_scale": sim.init_scale,
-        "mobility": {
-            "area_width": sim.mobility.area_width,
-            "area_height": sim.mobility.area_height,
-            "speed_min": sim.mobility.speed_min,
-            "speed_max": sim.mobility.speed_max,
-            "pause": sim.mobility.pause,
-            "radius": sim.mobility.radius,
-            "step": sim.mobility.step,
-        },
-        "churn": {"dropout_p": sim.churn.dropout_p, "lambda": sim.churn.rate},
-        "partition": {
-            "scheme": part.scheme,
-            "alpha": "inf" if math.isinf(part.alpha) else part.alpha,
-            "per_node": part.per_node,
-        },
-        "suite": {
-            "kind": suite.kind,
-            "classes": suite.classes,
-            "dim": suite.dim,
-            "total": suite.total,
-            "separation": suite.separation,
-            "reg": suite.reg,
-            "target_curvature": suite.target_curvature,
-            "gamma_weights": suite.gamma_weights,
-        },
-    }
+    """Canonical echo of a config (what the manifest records): the
+    dataclass fields, with churn's ``rate`` under its config-file name
+    ``lambda`` and an infinite ``alpha`` written as ``"inf"``."""
+    echo = asdict(config.sim)
+    echo["churn"]["lambda"] = echo["churn"].pop("rate")
+    echo["partition"] = asdict(config.partition)
+    if math.isinf(config.partition.alpha):
+        echo["partition"]["alpha"] = "inf"
+    echo["suite"] = asdict(config.suite)
+    return echo
 
 
 def build_problem_suite(config: RunConfig) -> ProblemSuite:

@@ -8,7 +8,6 @@ the i.i.d. scheme.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,6 @@ __all__ = [
     "DegeneratePartitionError",
     "synthetic_blobs",
     "partition",
-    "write_partition_json",
 ]
 
 
@@ -176,11 +174,3 @@ def _dirichlet(labels: np.ndarray, n: int, alpha: float, rng: np.random.Generato
     raise DegeneratePartitionError(
         f"could not give every one of {n} nodes a sample within {cap} draws"
     )
-
-
-def write_partition_json(path, shards) -> None:
-    """Dump the assignment as a JSON map node_id -> sample indices."""
-    payload = {str(i): [int(v) for v in ix] for i, ix in enumerate(shards)}
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

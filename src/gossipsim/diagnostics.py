@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .accessibility import accessible_mask
 from .objective import node_mean_gradient
 
 __all__ = [
@@ -63,21 +64,6 @@ def _as_models(models) -> np.ndarray:
     return arr
 
 
-def _mask(n: int, accessible) -> np.ndarray:
-    if isinstance(accessible, (set, frozenset)):
-        mask = np.zeros(n, dtype=bool)
-        mask[[int(i) for i in accessible]] = True
-        return mask
-    arr = np.asarray(accessible)
-    if arr.dtype == bool:
-        if arr.shape != (n,):
-            raise ValueError("boolean accessibility mask has wrong length")
-        return arr
-    mask = np.zeros(n, dtype=bool)
-    mask[arr.astype(int)] = True
-    return mask
-
-
 def full_average(models) -> np.ndarray:
     """Plain mean of all local models."""
     return _as_models(models).mean(axis=0)
@@ -92,7 +78,7 @@ def partial_average(models, accessible, mode: str = "literal") -> np.ndarray:
     n2/n, which equals the full average identically.
     """
     arr = _as_models(models)
-    mask = _mask(arr.shape[0], accessible)
+    mask = accessible_mask(arr.shape[0], accessible)
     n1, n2 = int(mask.sum()), int((~mask).sum())
     if n1 == 0 and n2 == 0:
         raise ValueError("at least one group must be nonempty")
@@ -118,7 +104,7 @@ def gradient_gap(models, accessible, suite) -> float:
     view is built on first use.
     """
     arr = _as_models(models)
-    mask = _mask(arr.shape[0], accessible)
+    mask = accessible_mask(arr.shape[0], accessible)
     split = arr.copy()
     if mask.any():
         split[mask] = arr[mask].mean(axis=0)
@@ -138,7 +124,7 @@ def gradient_gap_bound(
     L * eta^2 / n, ``appendix`` uses (1 + L * eta^2) / n.
     """
     arr = _as_models(models)
-    mask = _mask(arr.shape[0], accessible)
+    mask = accessible_mask(arr.shape[0], accessible)
     n = arr.shape[0]
     wbar = arr.mean(axis=0) if wbar is None else np.asarray(wbar, dtype=float)
     bracket = 0.0
@@ -267,14 +253,19 @@ def write_trace_csv(path, rows) -> None:
 
 
 def read_trace_csv(path):
-    """Read back a trace written by :func:`write_trace_csv`."""
+    """Read back a trace written by :func:`write_trace_csv`.  A row whose
+    cell count differs from the header's is an error naming its line."""
     rows = []
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != TRACE_COLUMNS:
             raise ValueError(f"unexpected trace header {header}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
+            if len(parts) != len(TRACE_COLUMNS):
+                raise ValueError(
+                    f"line {lineno} has {len(parts)} cells, expected {len(TRACE_COLUMNS)}"
+                )
             kwargs = {}
             for name, raw in zip(TRACE_COLUMNS, parts):
                 kwargs[name] = int(raw) if name in ("t", "n1", "n2") else float(raw)

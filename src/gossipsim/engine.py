@@ -20,6 +20,7 @@ from .accessibility import (
 )
 from .diagnostics import (
     TraceRow,
+    convergence_envelope,
     convergence_terms,
     distance_to_optimum,
     full_average,
@@ -46,7 +47,6 @@ __all__ = [
     "derive_streams",
     "init_state",
     "advance_round",
-    "run_round",
     "run_simulation",
 ]
 
@@ -216,11 +216,6 @@ def advance_round(state: SimState, suite: ProblemSuite, cfg: SimConfig, streams:
     )
 
 
-def run_round(state: SimState, suite: ProblemSuite, cfg: SimConfig, streams: dict) -> SimState:
-    """One round, returning only the new state."""
-    return advance_round(state, suite, cfg, streams).state
-
-
 def _round_trace(result: RoundResult, suite: ProblemSuite, cfg: SimConfig,
                  grad_bound_sq: float) -> TraceRow:
     part = result.participating
@@ -264,7 +259,6 @@ def _round_trace(result: RoundResult, suite: ProblemSuite, cfg: SimConfig,
         ),
         alpha_t=alpha,
         beta_t=beta,
-        thm1_bound=0.0,
         gap_term=gap_term(n2, result.eta, suite.mu, grad_bound_sq, cfg.churn.rate, n),
         gamma=suite.gamma,
         mean_loss=mean_loss,
@@ -278,21 +272,22 @@ def run_simulation(cfg: SimConfig, suite: ProblemSuite, observer=None):
     Fully deterministic for a fixed config: all randomness flows from
     named streams derived from ``cfg.seed``.  ``observer``, when given,
     is called with each RoundResult right after the round completes.
+    ``thm1_bound`` is filled in after the last round from
+    :func:`convergence_envelope`, started at the initial distance.
     """
     streams = derive_streams(cfg.seed)
     state = init_state(cfg, suite, streams)
     grad_bound_sq = max(
         suite.grad_bound_sq, grad_bound_estimate(suite, list(state.models))
     )
-    envelope = distance_to_optimum(full_average(state.models), suite.w_star)
+    initial_dist = distance_to_optimum(full_average(state.models), suite.w_star)
     rows = []
     for _ in range(cfg.rounds):
         result = advance_round(state, suite, cfg, streams)
         state = result.state
-        row = _round_trace(result, suite, cfg, grad_bound_sq)
-        envelope = row.alpha_t * envelope + row.beta_t
-        row.thm1_bound = envelope
-        rows.append(row)
+        rows.append(_round_trace(result, suite, cfg, grad_bound_sq))
         if observer is not None:
             observer(result)
+    for row, bound in zip(rows, convergence_envelope(rows, initial_dist)):
+        row.thm1_bound = bound
     return rows

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .accessibility import accessible_mask
+
 __all__ = [
     "GossipMatrix",
     "build_gossip_matrix",
@@ -19,7 +21,6 @@ __all__ = [
     "gossip_average",
     "active_nodes",
     "deemphasize_rejoined",
-    "write_matrix_csv",
 ]
 
 
@@ -34,17 +35,6 @@ class GossipMatrix:
         return self.weights.shape[0]
 
 
-def _accessible_mask(n: int, accessible) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    arr = np.asarray(list(accessible) if isinstance(accessible, (set, frozenset)) else accessible)
-    if arr.dtype == bool:
-        if arr.shape != (n,):
-            raise ValueError("boolean accessibility mask has wrong length")
-        return arr.copy()
-    mask[arr.astype(int)] = True
-    return mask
-
-
 def build_gossip_matrix(adj, accessible) -> GossipMatrix:
     """Metropolis mixing matrix on the accessible subgraph.
 
@@ -56,7 +46,7 @@ def build_gossip_matrix(adj, accessible) -> GossipMatrix:
 
     Args:
         adj: Adjacency with a symmetric boolean ``edges`` matrix.
-        accessible: boolean mask of length n, or an iterable of node ids.
+        accessible: boolean mask of length n, or a set or array of node ids.
     """
     edges = np.asarray(adj.edges, dtype=bool)
     if edges.shape[0] != edges.shape[1]:
@@ -64,7 +54,7 @@ def build_gossip_matrix(adj, accessible) -> GossipMatrix:
     if not np.array_equal(edges, edges.T):
         raise ValueError("adjacency must be symmetric")
     n = edges.shape[0]
-    mask = _accessible_mask(n, accessible)
+    mask = accessible_mask(n, accessible)
 
     usable = edges & np.outer(mask, mask)
     np.fill_diagonal(usable, False)
@@ -130,10 +120,3 @@ def deemphasize_rejoined(matrix: GossipMatrix, nodes, factor: float) -> GossipMa
         w[r, r] += removed.sum()
         w[np.arange(n), np.arange(n)] += removed
     return GossipMatrix(w)
-
-
-def write_matrix_csv(path, matrix: GossipMatrix) -> None:
-    """Debug dump: dense CSV, row-major, 12 significant digits."""
-    with open(path, "w", newline="\n") as fh:
-        for row in matrix.weights:
-            fh.write(",".join(format(v, ".12g") for v in row) + "\n")

@@ -50,7 +50,6 @@ __all__ = [
     "grad_bound_estimate",
     "build_suite",
     "suite_to_json",
-    "suite_from_json",
     "suite_digest",
 ]
 
@@ -316,17 +315,17 @@ def global_gradient(problems, w) -> np.ndarray:
     return np.mean([local_gradient(p, w) for p in problems], axis=0)
 
 
-def _ridge_solve(quads) -> np.ndarray:
+def _ridge_solve(problems) -> np.ndarray:
     """Closed-form minimizer of a mean of ridge losses via the normal
-    equations.  ``quads`` is a list of (X, y, m, reg)."""
-    d = quads[0][0].shape[1]
+    equations."""
+    d = problems[0].features.shape[1]
     h = np.zeros((d, d))
     b = np.zeros(d)
-    for x, y, m, reg in quads:
-        h += x.T @ x / m
-        b += x.T @ y / m
-    k = len(quads)
-    h = h / k + quads[0][3] * np.eye(d)
+    for p in problems:
+        h += p.features.T @ p.features / p.m
+        b += p.features.T @ p.targets / p.m
+    k = len(problems)
+    h = h / k + problems[0].reg * np.eye(d)
     return np.linalg.solve(h, b / k)
 
 
@@ -349,45 +348,37 @@ def _descend(problems, w0: np.ndarray, grad_tol: float, max_iter: int) -> np.nda
     return w
 
 
-def global_optimum(problems, grad_tol: float = 1e-10, max_iter: int = 200_000):
-    """Minimizer and value of the mean objective.
+def _minimize(problems, grad_tol: float, max_iter: int) -> np.ndarray:
+    """Minimizer of the mean of the node losses.
 
     Ridge uses the exact normal-equation solve.  Softmax minimizes with
     L-BFGS and polishes with fixed-step descent until the gradient norm is
     below ``grad_tol``; failure to converge within the cap is an error.
     """
-    problems = list(problems)
-    kind = problems[0].kind
-    if kind == "ridge":
-        w = _ridge_solve([(p.features, p.targets, p.m, p.reg) for p in problems])
-        return w, global_loss(problems, w)
-    dim = problems[0].dim
+    if problems[0].kind == "ridge":
+        return _ridge_solve(problems)
     # L-BFGS is fed per-node sums: its line search turns last-digit changes
     # of the loss into shifts of the optimum near its 1e-10 tolerance
     res = minimize(
         lambda w: (np.mean([local_loss(p, w) for p in problems]), global_gradient(problems, w)),
-        np.zeros(dim),
+        np.zeros(problems[0].dim),
         jac=True,
         method="L-BFGS-B",
         options={"maxiter": 5000, "gtol": 1e-12, "ftol": 0.0},
     )
-    w = _descend(problems, res.x, grad_tol, max_iter)
+    return _descend(problems, res.x, grad_tol, max_iter)
+
+
+def global_optimum(problems, grad_tol: float = 1e-10, max_iter: int = 200_000):
+    """Minimizer and value of the mean objective (see :func:`_minimize`)."""
+    problems = list(problems)
+    w = _minimize(problems, grad_tol, max_iter)
     return w, global_loss(problems, w)
 
 
 def local_optimum(p: NodeProblem, grad_tol: float = 1e-10, max_iter: int = 200_000):
     """Minimizer and value of one node's own loss."""
-    if p.kind == "ridge":
-        w = _ridge_solve([(p.features, p.targets, p.m, p.reg)])
-        return w, local_loss(p, w)
-    res = minimize(
-        lambda w: (local_loss(p, w), local_gradient(p, w)),
-        np.zeros(p.dim),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 5000, "gtol": 1e-12, "ftol": 0.0},
-    )
-    w = _descend([p], res.x, grad_tol, max_iter)
+    w = _minimize([p], grad_tol, max_iter)
     return w, local_loss(p, w)
 
 
@@ -556,38 +547,6 @@ def suite_to_json(suite: ProblemSuite) -> str:
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def suite_from_json(text: str) -> ProblemSuite:
-    payload = json.loads(text)
-    kind = payload["kind"]
-    reg = float(payload["reg"])
-    n_classes = int(payload["n_classes"])
-    problems = []
-    for spec in payload["problems"]:
-        m, d = spec["shape"]
-        feats = np.asarray([float(v) for v in spec["features"]]).reshape(m, d)
-        if kind == "ridge":
-            targs = np.asarray([float(v) for v in spec["targets"]])
-        else:
-            targs = np.asarray(spec["targets"], dtype=int)
-        problems.append(NodeProblem(feats, targs, reg=reg, kind=kind, n_classes=n_classes))
-    local_opts = [
-        (np.asarray([float(v) for v in item["w"]]), float(item["value"]))
-        for item in payload["local_optima"]
-    ]
-    return ProblemSuite(
-        problems=problems,
-        dimension=int(payload["dimension"]),
-        L=float(payload["L"]),
-        mu=float(payload["mu"]),
-        w_star=np.asarray([float(v) for v in payload["w_star"]]),
-        f_star=float(payload["f_star"]),
-        local_optima=local_opts,
-        gamma=float(payload["gamma"]),
-        grad_bound_sq=float(payload["grad_bound_sq"]),
-        gamma_weights=payload["gamma_weights"],
-    )
 
 
 def suite_digest(suite: ProblemSuite) -> str:

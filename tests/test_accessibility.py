@@ -9,12 +9,8 @@ from gossipsim.accessibility import (
     absence_duration,
     init_accessibility,
     partition_nodes,
-    read_state_json,
     rounds_since_accessible,
-    state_from_dict,
-    state_to_dict,
     step_accessibility,
-    write_state_json,
 )
 
 
@@ -162,21 +158,6 @@ def test_mean_inaccessible_count_near_reported_setting():
             total += 14 - st.accessible.sum()
     mean_out = total / (20 * 50)
     assert 1.0 < mean_out < 3.0
-
-
-def test_state_json_roundtrip(tmp_path):
-    st = init_accessibility(4)
-    rng = np.random.default_rng(0)
-    st = step_accessibility(st, ChurnConfig(dropout_p=0.5, rate=0.5), 0, rng)
-    payload = state_to_dict(st)
-    back = state_from_dict(payload)
-    assert np.array_equal(back.accessible, st.accessible)
-    assert back.rejoin_at == st.rejoin_at
-    assert np.array_equal(back.last_accessible, st.last_accessible)
-    path = tmp_path / "state.json"
-    write_state_json(path, st)
-    again = read_state_json(path)
-    assert np.array_equal(again.accessible, st.accessible)
 
 
 def test_invariant_rejoin_map_matches_flags():

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from gossipsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from gossipsim.config import ConfigError, run_config_from_dict, spawn_seeded
+from gossipsim.config import ConfigError, run_config_from_dict, run_config_to_dict, spawn_seeded
 from gossipsim.diagnostics import TRACE_COLUMNS, read_trace_csv
 
 SMALL = {
@@ -89,6 +89,36 @@ def test_config_alpha_alone_may_be_infinite(alpha):
     assert run_config_from_dict({"partition": {"alpha": alpha}}).partition.alpha == math.inf
     with pytest.raises(ConfigError):
         run_config_from_dict({"deemphasis": alpha})
+
+
+ECHO_KEYS = {
+    "n", "rounds", "eta", "local_epochs", "batch_size", "mobility", "churn", "seed",
+    "offline_training", "deemphasis", "wtilde_mode", "init_scale", "partition", "suite",
+}
+ECHO_SECTION_KEYS = {
+    "eta": {"kind", "eta0"},
+    "mobility": {"area_width", "area_height", "speed_min", "speed_max", "pause", "radius", "step"},
+    "churn": {"dropout_p", "lambda"},
+    "partition": {"scheme", "alpha", "per_node"},
+    "suite": {"kind", "classes", "dim", "total", "separation", "reg", "target_curvature",
+              "gamma_weights"},
+}
+
+
+@pytest.mark.parametrize("raw", [
+    {},
+    {"partition": {"alpha": "inf"}},
+    {"suite": {"target_curvature": None}},
+    {"eta": {"kind": "decay", "eta0": 0.05}},
+    {"wtilde_mode": "weighted"},
+])
+def test_config_echo_round_trips(raw):
+    config = run_config_from_dict(raw)
+    echo = run_config_to_dict(config)
+    assert run_config_from_dict(echo) == config
+    assert set(echo) == ECHO_KEYS
+    assert {k: set(echo[k]) for k in ECHO_SECTION_KEYS} == ECHO_SECTION_KEYS
+    json.dumps(echo, allow_nan=False)  # plain JSON: an infinite alpha is the string "inf"
 
 
 def test_spawn_seeded_keeps_every_other_field():
@@ -235,6 +265,59 @@ def test_check_fails_on_missing_rows_without_crashing(tmp_path, capsys, keep):
     capsys.readouterr()
     assert main(["check", "--out", str(out)]) == EXIT_RUNTIME
     assert "FAIL  row count" in capsys.readouterr().out
+
+
+def _cut_row(run):
+    trace = run / "trace.csv"
+    lines = trace.read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:12])
+    trace.write_text("\n".join(lines) + "\n")
+    return trace, "line 3 has 12 cells"
+
+
+def _bad_header(run):
+    trace = run / "trace.csv"
+    trace.write_text(trace.read_text().replace("dist_wbar_sq", "dist_wbar", 1))
+    return trace, "unexpected trace header"
+
+
+def _edit_manifest(run, edit):
+    manifest = run / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    edit(payload)
+    manifest.write_text(json.dumps(payload))
+    return manifest
+
+
+def _manifest_not_json(run):
+    (run / "manifest.json").write_text("{not json")
+    return run / "manifest.json", "Expecting property name"
+
+
+def _manifest_without_config(run):
+    return _edit_manifest(run, lambda m: m.pop("config")), "missing field 'config'"
+
+
+def _unknown_eta_kind(run):
+    manifest = _edit_manifest(run, lambda m: m["config"]["eta"].update(kind="linear"))
+    return manifest, "unknown eta schedule 'linear'"
+
+
+@pytest.mark.parametrize("damage", [
+    _manifest_not_json, _manifest_without_config, _bad_header, _cut_row, _unknown_eta_kind,
+])
+def test_check_reports_malformed_outputs_in_one_line(tmp_path, capsys, damage):
+    cfg = _write_config(tmp_path, SMALL)
+    out = tmp_path / "run"
+    main(["run", "--config", cfg, "--out", str(out)])
+    path, reason = damage(out)
+    capsys.readouterr()
+    assert main(["check", "--out", str(out)]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"check error: {path}: ")
+    assert reason in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_check_missing_outputs_exits_two(tmp_path):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ from gossipsim.dataparts import (
     PartitionConfig,
     partition,
     synthetic_blobs,
-    write_partition_json,
 )
 from gossipsim.objective import build_suite
 
@@ -170,14 +168,3 @@ def test_gamma_nonincreasing_in_alpha_on_average():
             vals.append(suite.gamma)
         means.append(np.mean(vals))
     assert all(a >= b for a, b in zip(means, means[1:]))
-
-
-def test_partition_json_dump(tmp_path):
-    rng = np.random.default_rng(9)
-    data = synthetic_blobs(3, 2, 30, 5.0, rng)
-    shards = partition(data, 3, PartitionConfig(scheme="dirichlet", alpha=2.0), rng)
-    path = tmp_path / "parts.json"
-    write_partition_json(path, shards)
-    payload = json.loads(path.read_text())
-    assert set(payload) == {"0", "1", "2"}
-    assert sorted(sum(payload.values(), [])) == list(range(30))

@@ -255,6 +255,17 @@ def test_trace_csv_roundtrip_and_header(tmp_path):
     assert back[1].t == 1 and back[1].n1 == 14
 
 
+@pytest.mark.parametrize("keep", [12, 6])
+def test_read_trace_rejects_a_truncated_row(tmp_path, keep):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, [TraceRow(t=0, n1=2), TraceRow(t=1, n1=2)])
+    lines = path.read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:keep])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"line 3 has {keep} cells, expected 15"):
+        read_trace_csv(path)
+
+
 def test_trace_header_is_the_pinned_schema():
     assert ",".join(TRACE_COLUMNS) == (
         "t,n1,n2,dist_wbar_sq,dist_wtilde_sq,div_lhs,div_rhs_main,"

@@ -15,7 +15,6 @@ from gossipsim.engine import (
     advance_round,
     derive_streams,
     init_state,
-    run_round,
     run_simulation,
 )
 from gossipsim.mobility import MobilityConfig
@@ -72,7 +71,7 @@ def test_run_round_increments_round_counter():
     suite = build_problem_suite(cfg)
     streams = derive_streams(cfg.sim.seed)
     state = init_state(cfg.sim, suite, streams)
-    new_state = run_round(state, suite, cfg.sim, streams)
+    new_state = advance_round(state, suite, cfg.sim, streams).state
     assert new_state.round == 1
     assert new_state.models.shape == state.models.shape
 

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gossipsim.diagnostics import partial_average
 from gossipsim.gossip import (
     GossipMatrix,
     active_nodes,
@@ -10,7 +13,6 @@ from gossipsim.gossip import (
     deemphasize_rejoined,
     gossip_average,
     verify_doubly_stochastic,
-    write_matrix_csv,
 )
 from gossipsim.mobility import Adjacency
 
@@ -172,10 +174,55 @@ def test_deemphasis_zero_isolates_the_rejoined_node():
     assert not active_nodes(scaled)[1]
 
 
-def test_matrix_csv_dump(tmp_path):
-    G = build_gossip_matrix(_adj(np.ones((3, 3))), np.ones(3, dtype=bool))
-    path = tmp_path / "matrix.csv"
-    write_matrix_csv(path, G)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 3
-    assert lines[0] == ",".join([format(1.0 / 3.0, ".12g")] * 3)
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_out_of_range_node_ids_are_rejected(bad):
+    # a raw index would wrap -1 around to node n-1 instead of failing
+    with pytest.raises(ValueError, match="node ids"):
+        partial_average(np.arange(8.0).reshape(4, 2), np.array([bad]))
+    with pytest.raises(ValueError, match="node ids"):
+        build_gossip_matrix(_adj(np.ones((4, 4))), {bad, 0})
+
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def networks(draw):
+    """(adjacency, accessible mask, rejoining ids, factor, models) on 1-10
+    nodes: a random symmetric graph and a random split."""
+    n = draw(st.integers(1, 10))
+    cells = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+    edges = cells.reshape(n, n)
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    rejoined = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    factor = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    models = rng.normal(scale=10.0, size=(n, draw(st.integers(1, 4))))
+    return _adj(edges | edges.T), mask, rejoined, factor, models
+
+
+@SETTINGS
+@given(networks())
+def test_property_mixing_matrix_is_doubly_stochastic(net):
+    adj, mask, rejoined, factor, _ = net
+    G = deemphasize_rejoined(build_gossip_matrix(adj, mask), rejoined, factor)
+    assert verify_doubly_stochastic(G, 1e-12)
+
+
+@SETTINGS
+@given(networks())
+def test_property_mixing_preserves_the_mean_model(net):
+    adj, mask, rejoined, factor, models = net
+    G = deemphasize_rejoined(build_gossip_matrix(adj, mask), rejoined, factor)
+    mixed = gossip_average(models, G)
+    assert np.allclose(mixed.mean(axis=0), models.mean(axis=0), rtol=0.0, atol=1e-12)
+
+
+@SETTINGS
+@given(networks())
+def test_property_mask_set_and_ids_give_the_same_matrix(net):
+    adj, mask, _, _, _ = net
+    ids = np.flatnonzero(mask)
+    G = build_gossip_matrix(adj, mask).weights
+    assert np.array_equal(G, build_gossip_matrix(adj, set(ids.tolist())).weights)
+    assert np.array_equal(G, build_gossip_matrix(adj, ids).weights)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -21,7 +22,6 @@ from gossipsim.objective import (
     local_optimum,
     per_sample_grad_sq_norms,
     suite_digest,
-    suite_from_json,
     suite_to_json,
 )
 from oracles import numerical_gradient, ridge_loss_direct, softmax_loss_direct
@@ -292,10 +292,13 @@ def test_local_accuracy_perfect_for_separated_blobs():
 def test_suite_json_roundtrip_and_digest():
     suite = _random_suite(np.random.default_rng(24), n=3, total=30)
     text = suite_to_json(suite)
-    json.loads(text)  # valid JSON
-    back = suite_from_json(text)
-    assert back.dimension == suite.dimension
-    assert back.L == pytest.approx(suite.L)
-    assert np.allclose(back.w_star, suite.w_star)
-    assert np.allclose(back.problems[0].features, suite.problems[0].features)
-    assert suite_digest(back) == suite_digest(suite)
+    payload = json.loads(text)
+    assert payload["dimension"] == suite.dimension
+    # 17 significant digits round-trip every float exactly
+    assert float(payload["L"]) == suite.L
+    assert np.array_equal([float(v) for v in payload["w_star"]], suite.w_star)
+    m, d = payload["problems"][0]["shape"]
+    features = np.array([float(v) for v in payload["problems"][0]["features"]]).reshape(m, d)
+    assert np.array_equal(features, suite.problems[0].features)
+    assert suite_digest(suite) == hashlib.sha256(text.encode()).hexdigest()
+    assert suite_to_json(suite) == text
