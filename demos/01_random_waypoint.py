@@ -21,11 +21,9 @@ for t in range(1, 201):
     state = step_mobility(state, cfg, rng)
     snapshots.append((t, state.positions.copy()))
     if t % 20 == 0:
-        adj = connectivity(state, cfg.radius)
-        off_diag = adj.edges.copy()
-        np.fill_diagonal(off_diag, False)
-        degrees = off_diag.sum(axis=1)
-        print(f"{t:>4} {off_diag.sum() // 2:>6} {(degrees == 0).sum():>9} {degrees.mean():>12.2f}")
+        adj = connectivity(state, cfg.radius)  # links as node-id pairs i < j
+        degrees = np.bincount(adj.pairs.ravel(), minlength=adj.n)
+        print(f"{t:>4} {len(adj.pairs):>6} {(degrees == 0).sum():>9} {degrees.mean():>12.2f}")
 
 write_trajectory_csv("trajectory.csv", snapshots)
 print("\nwrote trajectory.csv (columns t,node_id,x,y)")

@@ -37,6 +37,10 @@ from .engine import EtaSchedule, run_simulation
 from .objective import suite_digest
 
 SWEEP_AXES = ("dropout_p", "lambda", "alpha", "deemphasis", "eta")
+SUMMARY_COLUMNS = (
+    "axis", "value", "runs", "final_dist_wtilde_sq_mean", "final_dist_wtilde_sq_std",
+    "final_mean_loss_mean", "final_mean_loss_std",
+)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -125,6 +129,12 @@ def _sweep_task(args) -> tuple[str, int, float, float]:
     return value_label, config.sim.seed, last.dist_wtilde_sq, last.mean_loss
 
 
+def pool_size(jobs: int, tasks: int, cpus) -> int:
+    """Worker processes for a sweep: the requested ``jobs``, but no more
+    than there are tasks or CPUs (``cpus`` None counts as one)."""
+    return max(1, min(jobs, tasks, cpus or 1))
+
+
 def cmd_sweep(config_path, axis, values, seeds, out_dir, jobs=None) -> int:
     try:
         if axis not in SWEEP_AXES:
@@ -144,20 +154,26 @@ def cmd_sweep(config_path, axis, values, seeds, out_dir, jobs=None) -> int:
                 config = _apply_axis(spawn_seeded(base, seed), axis, value)
                 run_dir = out / "runs" / f"{axis}={label}" / f"seed={seed}"
                 tasks.append((config, label, str(run_dir)))
+        source = "--jobs"
         env_jobs = os.environ.get("GOSSIPSIM_JOBS")
         if env_jobs is not None:
+            source = "GOSSIPSIM_JOBS"
             try:
                 jobs = int(env_jobs)
             except ValueError:
                 raise ConfigError(f"GOSSIPSIM_JOBS must be an integer, got {env_jobs!r}") from None
-        jobs = jobs or 1
+        if jobs is None:
+            jobs = 1
+        if jobs < 1:
+            raise ConfigError(f"{source} must be at least 1, got {jobs}")
+        workers = pool_size(jobs, len(tasks), os.cpu_count())
     except ValueError as exc:  # ConfigError, or a swept value out of range
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_sweep_task, tasks))
         else:
             results = [_sweep_task(t) for t in tasks]
@@ -168,10 +184,7 @@ def cmd_sweep(config_path, axis, values, seeds, out_dir, jobs=None) -> int:
     by_value: dict[str, list] = {}
     for label, seed, dist, loss in results:
         by_value.setdefault(label, []).append((dist, loss))
-    lines = [
-        "axis,value,runs,final_dist_wtilde_sq_mean,final_dist_wtilde_sq_std,"
-        "final_mean_loss_mean,final_mean_loss_std"
-    ]
+    lines = [",".join(SUMMARY_COLUMNS)]
     for value in values:
         label = _fmt_value(value)
         dists = np.array([d for d, _ in by_value[label]])
@@ -238,8 +251,10 @@ def cmd_check(out_dir) -> int:
     if not out.exists():
         print(f"check error: output directory {out} not found", file=sys.stderr)
         return EXIT_USAGE
+    summary = out / "summary.csv"
     try:
         found = _check_traces(out)
+        summary_rows = _read_summary(summary) if summary.exists() else None
     except ValueError as exc:
         print(f"check error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -297,24 +312,47 @@ def cmd_check(out_dir) -> int:
         f"div_lhs <= div_rhs_appendix on {bound_hold}/{bound_total} rounds ({rate:.2%})",
     )
 
-    summary = out / "summary.csv"
-    if summary.exists():
-        ok, detail = _verify_summary(out, summary)
+    if summary_rows is not None:
+        ok, detail = _verify_summary(out, summary_rows)
         check("summary consistency", ok, detail)
 
     return EXIT_OK if not failures else EXIT_RUNTIME
 
 
-def _verify_summary(out: Path, summary: Path):
+def _read_summary(path: Path) -> list:
+    """The rows of a sweep's summary.csv as dicts, ``runs`` as an int and
+    the statistics as floats.  A missing column, a row whose cell count
+    differs from the header's, or a cell that is not a number raises
+    ValueError naming the file."""
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            lines = [line.strip().split(",") for line in fh if line.strip()]
+        missing = [c for c in SUMMARY_COLUMNS if c not in header]
+        if missing:
+            raise ValueError(f"missing column {missing[0]!r}")
+        rows = []
+        for lineno, cells in enumerate(lines, start=2):
+            if len(cells) != len(header):
+                raise ValueError(f"line {lineno} has {len(cells)} cells, the header {len(header)}")
+            row = dict(zip(header, cells))
+            for name in SUMMARY_COLUMNS[2:]:
+                try:
+                    row[name] = int(row[name]) if name == "runs" else float(row[name])
+                except ValueError:
+                    raise ValueError(f"line {lineno}: {name} is not a number: {row[name]!r}") from None
+            rows.append(row)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return rows
+
+
+def _verify_summary(out: Path, rows: list):
     """Recompute summary statistics from the per-run traces."""
-    with open(summary) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    idx = {name: i for i, name in enumerate(header)}
     for row in rows:
-        axis, label = row[idx["axis"]], row[idx["value"]]
+        axis, label = row["axis"], row["value"]
         traces = sorted((out / "runs" / f"{axis}={label}").glob("seed=*/trace.csv"))
-        if len(traces) != int(row[idx["runs"]]):
+        if len(traces) != row["runs"]:
             return False, f"run count mismatch for {axis}={label}"
         finals = [read_trace_csv(t)[-1] for t in traces]
         dists = np.array([r.dist_wtilde_sq for r in finals])
@@ -327,7 +365,8 @@ def _verify_summary(out: Path, summary: Path):
             "final_mean_loss_std": losses.std(ddof=1) if k > 1 else 0.0,
         }
         for name, value in expected.items():
-            if abs(float(row[idx[name]]) - value) > 1e-9 * max(1.0, abs(value)):
+            # written so that a NaN on either side is a mismatch
+            if not abs(row[name] - value) <= 1e-9 * max(1.0, abs(value)):
                 return False, f"{name} mismatch for {axis}={label}"
     return True, "summary matches recomputation from traces"
 

@@ -184,7 +184,7 @@ def advance_round(state: SimState, suite: ProblemSuite, cfg: SimConfig, streams:
     part_pre = active_nodes(matrix)
     rejoined = part_pre & ~state.participating
     if cfg.deemphasis < 1.0 and rejoined.any():
-        matrix = deemphasize_rejoined(matrix, np.flatnonzero(rejoined), cfg.deemphasis)
+        matrix = deemphasize_rejoined(matrix, rejoined, cfg.deemphasis)
     participating = active_nodes(matrix)
 
     models_before = state.models.copy()

@@ -4,13 +4,20 @@ The matrix is built with Metropolis weights on the accessible subgraph,
 which gives a symmetric doubly stochastic matrix on any undirected graph
 without iteration.  Nodes that cannot take part keep an identity row, so
 they neither send nor receive mass.
+
+A matrix is stored as its links and its diagonal: each link i < j carries
+one weight, used for both directions, and the diagonal holds the rest of
+each row.  Nothing on the per-round path is n-by-n; the CSR view
+``GossipMatrix.weights`` is built only when something reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .accessibility import accessible_mask
 
@@ -24,15 +31,38 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GossipMatrix:
-    """Dense n-by-n mixing weights in [0, 1]."""
+    """Mixing weights in [0, 1]: weight ``w[k]`` on the links
+    ``(i[k], j[k])`` and ``(j[k], i[k])``, and ``diag`` on the diagonal."""
 
-    weights: np.ndarray
+    n: int
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
+    diag: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
+    def entries(self) -> tuple:
+        """(rows, cols, values) of every stored entry, both directions of
+        each link and the diagonal, sorted by row and then column."""
+        diag = np.arange(self.n)
+        rows = np.concatenate([self.i, self.j, diag])
+        cols = np.concatenate([self.j, self.i, diag])
+        order = np.lexsort((cols, rows))
+        return rows[order], cols[order], np.concatenate([self.w, self.w, self.diag])[order]
+
+    @cached_property
+    def weights(self) -> sparse.csr_array:
+        """The full symmetric matrix in CSR form, built on first read."""
+        rows, cols, vals = self.entries()
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=self.n))])
+        return sparse.csr_array((vals, cols, indptr), shape=(self.n, self.n))
+
+
+def _with_diagonal(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> GossipMatrix:
+    """The matrix of these links whose diagonal takes the rest of each row."""
+    row_sums = np.bincount(i, w, minlength=n) + np.bincount(j, w, minlength=n)
+    return GossipMatrix(n, i, j, w, 1.0 - row_sums)
 
 
 def build_gossip_matrix(adj, accessible) -> GossipMatrix:
@@ -45,42 +75,45 @@ def build_gossip_matrix(adj, accessible) -> GossipMatrix:
     column.
 
     Args:
-        adj: Adjacency with a symmetric boolean ``edges`` matrix.
+        adj: Adjacency with ``n`` nodes and links ``pairs``.
         accessible: boolean mask of length n, or a set or array of node ids.
     """
-    edges = np.asarray(adj.edges, dtype=bool)
-    if edges.shape[0] != edges.shape[1]:
-        raise ValueError("adjacency must be square")
-    if not np.array_equal(edges, edges.T):
-        raise ValueError("adjacency must be symmetric")
-    n = edges.shape[0]
+    n = adj.n
     mask = accessible_mask(n, accessible)
-
-    usable = edges & np.outer(mask, mask)
-    np.fill_diagonal(usable, False)
-    deg = usable.sum(axis=1)
-    pair_max = np.maximum.outer(deg, deg)
-    with np.errstate(divide="ignore"):
-        weights = np.where(usable, 1.0 / (1.0 + pair_max), 0.0)
-    np.fill_diagonal(weights, 0.0)
-    np.fill_diagonal(weights, 1.0 - weights.sum(axis=1))
-    return GossipMatrix(weights)
+    i, j = adj.pairs.T
+    usable = mask[i] & mask[j]
+    i, j = i[usable], j[usable]
+    deg = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+    w = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
+    return _with_diagonal(n, i, j, w)
 
 
 def verify_doubly_stochastic(matrix, tol: float = 1e-9) -> bool:
     """True iff the matrix is symmetric, entrywise in [0, 1], and every
-    row and column sums to 1, all within ``tol``."""
-    g = matrix.weights if isinstance(matrix, GossipMatrix) else np.asarray(matrix, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+    row and column sums to 1, all within ``tol``.  Takes a GossipMatrix,
+    a scipy sparse matrix or a dense array; only stored entries are read."""
+    if isinstance(matrix, GossipMatrix):
+        n, (rows, cols, vals) = matrix.n, matrix.entries()
+    else:
+        coo = sparse.coo_array(matrix, dtype=float)
+        if coo.ndim != 2 or coo.shape[0] != coo.shape[1]:
+            return False
+        n, (rows, cols), vals = coo.shape[0], coo.coords, coo.data
+    # g - g.T on the union of the stored positions and their mirrors
+    keys, where = np.unique(np.concatenate([rows * n + cols, cols * n + rows]),
+                            return_inverse=True)
+    m = vals.size
+    asym = np.bincount(where[:m], vals, keys.size) - np.bincount(where[m:], vals, keys.size)
+    if not np.all(np.abs(asym) <= tol):
         return False
-    if not np.all(np.abs(g - g.T) <= tol):
+    low, high = (vals.min(), vals.max()) if m else (0.0, 0.0)
+    if m < n * n:  # unstored entries are zeros
+        low, high = min(low, 0.0), max(high, 0.0)
+    if not (low >= -tol and high <= 1.0 + tol):
         return False
-    if g.min() < -tol or g.max() > 1.0 + tol:
-        return False
-    ones = np.ones(g.shape[0])
     return bool(
-        np.all(np.abs(g.sum(axis=1) - ones) <= tol)
-        and np.all(np.abs(g.sum(axis=0) - ones) <= tol)
+        np.all(np.abs(np.bincount(rows, vals, n) - 1.0) <= tol)
+        and np.all(np.abs(np.bincount(cols, vals, n) - 1.0) <= tol)
     )
 
 
@@ -88,35 +121,39 @@ def gossip_average(models, matrix: GossipMatrix) -> np.ndarray:
     """Mix models with the matrix: output_i = sum_j w_ij * model_j.
 
     ``models`` is an (n, d) array or a list of n equal-length vectors.
+    Each row is its diagonal term plus its links' terms, which one
+    ``np.bincount`` adds up over the flattened (n, d) output.
     """
     stacked = np.asarray(models, dtype=float)
     if stacked.ndim != 2:
         raise ValueError("models must form an (n, d) array of equal-length vectors")
     if stacked.shape[0] != matrix.n:
         raise ValueError("model count does not match matrix size")
-    return matrix.weights @ stacked
+    n, d = stacked.shape
+    rows = np.concatenate([matrix.i, matrix.j])
+    terms = stacked[np.concatenate([matrix.j, matrix.i])]
+    terms *= np.concatenate([matrix.w, matrix.w])[:, None]
+    cells = (rows * d)[:, None] + np.arange(d)
+    out = matrix.diag[:, None] * stacked
+    out += np.bincount(cells.ravel(), terms.ravel(), n * d).reshape(n, d)
+    return out
 
 
 def active_nodes(matrix: GossipMatrix) -> np.ndarray:
     """Mask of nodes that actually exchanged with someone this round,
     i.e. whose diagonal weight is strictly below 1."""
-    return matrix.weights.diagonal() < 1.0 - 1e-12
+    return matrix.diag < 1.0 - 1e-12
 
 
 def deemphasize_rejoined(matrix: GossipMatrix, nodes, factor: float) -> GossipMatrix:
     """Scale the incoming and outgoing weights of rejoining nodes by
     ``factor`` in [0, 1], returning the removed mass to the diagonals so
-    the matrix stays symmetric doubly stochastic."""
+    the matrix stays symmetric doubly stochastic.  A link between two
+    rejoining nodes is scaled once for each of them, by ``factor**2``.
+
+    ``nodes`` is a boolean mask or a set or array of node ids."""
     if not 0.0 <= factor <= 1.0:
         raise ValueError("factor must lie in [0, 1]")
-    w = matrix.weights.copy()
-    n = w.shape[0]
-    for r in sorted(int(i) for i in nodes):
-        off = w[r].copy()
-        off[r] = 0.0
-        removed = (1.0 - factor) * off
-        w[r] -= removed
-        w[:, r] -= removed
-        w[r, r] += removed.sum()
-        w[np.arange(n), np.arange(n)] += removed
-    return GossipMatrix(w)
+    rejoining = accessible_mask(matrix.n, nodes)
+    k = rejoining[matrix.i].astype(np.intp) + rejoining[matrix.j]
+    return _with_diagonal(matrix.n, matrix.i, matrix.j, matrix.w * factor ** k)

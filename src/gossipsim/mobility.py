@@ -9,8 +9,11 @@ shared mutable data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
+from scipy.spatial import cKDTree
 
 __all__ = [
     "MobilityConfig",
@@ -73,16 +76,32 @@ class MobilityState:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Adjacency:
-    """Symmetric boolean connectivity matrix with a True diagonal (a node
-    always reaches itself)."""
+    """Undirected disk-graph links as an edge list: ``pairs`` is a (k, 2)
+    integer array of node ids ``i < j``, one row per link.  A node always
+    reaches itself; self-links are implied, never listed."""
 
-    edges: np.ndarray
+    n: int
+    pairs: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.edges.shape[0]
+    def __post_init__(self) -> None:
+        pairs = np.asarray(self.pairs, dtype=np.intp).reshape(-1, 2)
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= self.n
+                           or (pairs[:, 0] >= pairs[:, 1]).any()):
+            raise ValueError(f"links must be pairs i < j of node ids in [0, {self.n})")
+        object.__setattr__(self, "pairs", pairs)
+
+    @cached_property
+    def edges(self) -> sparse.csr_array:
+        """Symmetric boolean link matrix with a True diagonal, built on
+        first read."""
+        i, j = self.pairs.T
+        diag = np.arange(self.n)
+        rows = np.concatenate([i, j, diag])
+        cols = np.concatenate([j, i, diag])
+        return sparse.csr_array((np.ones(rows.size, dtype=bool), (rows, cols)),
+                                shape=(self.n, self.n))
 
 
 def _uniform_points(n: int, cfg: MobilityConfig, rng: np.random.Generator) -> np.ndarray:
@@ -109,42 +128,47 @@ def step_mobility(state: MobilityState, cfg: MobilityConfig, rng: np.random.Gene
     Moving nodes head straight for their waypoint at their current speed
     and are clamped at the waypoint, where the pause starts within the
     same step.  Paused nodes burn pause time; once it runs out they draw a
-    new uniform waypoint and a new uniform speed.
+    new uniform waypoint and a new uniform speed.  The moves are array
+    operations; the redraws then run in ascending node id, so the stream
+    is consumed in the same order as a node-by-node loop.
     """
     out = state.copy()
-    for i in range(state.n):
-        pos = out.positions[i]
-        wp = out.waypoints[i]
-        to_wp = wp - pos
-        dist = float(np.hypot(to_wp[0], to_wp[1]))
-        if out.pause_remaining[i] > 0.0 or dist == 0.0:
-            out.pause_remaining[i] = max(0.0, out.pause_remaining[i] - cfg.step)
-            if out.pause_remaining[i] == 0.0:
-                out.waypoints[i] = _uniform_points(1, cfg, rng)[0]
-                out.speeds[i] = rng.uniform(cfg.speed_min, cfg.speed_max)
-            continue
-        travel = out.speeds[i] * cfg.step
-        if travel >= dist:
-            out.positions[i] = wp
-            out.pause_remaining[i] = cfg.pause
-            if cfg.pause == 0.0:
-                out.waypoints[i] = _uniform_points(1, cfg, rng)[0]
-                out.speeds[i] = rng.uniform(cfg.speed_min, cfg.speed_max)
-        else:
-            out.positions[i] = pos + to_wp * (travel / dist)
+    to_wp = out.waypoints - out.positions
+    dist = np.hypot(to_wp[:, 0], to_wp[:, 1])
+    paused = (out.pause_remaining > 0.0) | (dist == 0.0)
+    out.pause_remaining[paused] = np.maximum(0.0, out.pause_remaining[paused] - cfg.step)
+    redraw = paused & (out.pause_remaining == 0.0)
+
+    travel = out.speeds * cfg.step
+    arrived = ~paused & (travel >= dist)
+    out.positions[arrived] = out.waypoints[arrived]
+    out.pause_remaining[arrived] = cfg.pause
+    if cfg.pause == 0.0:
+        redraw |= arrived
+    going = ~paused & ~arrived
+    out.positions[going] += to_wp[going] * (travel[going] / dist[going])[:, None]
+
+    for i in np.flatnonzero(redraw):
+        out.waypoints[i] = _uniform_points(1, cfg, rng)[0]
+        out.speeds[i] = rng.uniform(cfg.speed_min, cfg.speed_max)
     return out
 
 
 def connectivity(state: MobilityState, radius: float) -> Adjacency:
-    """Disk model link matrix: nodes are connected iff their Euclidean
-    distance is at most ``radius``; the diagonal is always True."""
+    """Disk model links: nodes are connected iff their Euclidean distance
+    is at most ``radius``, i.e. ``dx*dx + dy*dy <= radius*radius``.
+
+    A KD-tree proposes the pairs within a slightly larger radius, and the
+    exact squared-distance test decides, so no pair on the boundary
+    depends on the tree's own rounding."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    diff = state.positions[:, None, :] - state.positions[None, :, :]
-    dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
-    edges = dist_sq <= radius * radius
-    np.fill_diagonal(edges, True)
-    return Adjacency(edges)
+    pairs = cKDTree(state.positions).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
+    i, j = pairs.T.copy()
+    x, y = state.positions.T.copy()
+    dx, dy = x[i] - x[j], y[i] - y[j]
+    keep = dx * dx + dy * dy <= radius * radius
+    return Adjacency(state.n, pairs[keep])
 
 
 def write_trajectory_csv(path, snapshots) -> None:

@@ -59,3 +59,68 @@ def pooled_sgd_ridge(
                 x, y = features[b], targets[b]
                 w = w - eta * (x.T @ (x @ w - y) / len(b) + reg * w)
     return w
+
+
+def step_mobility_loop(state, cfg, rng):
+    """Random Waypoint step, one node at a time in ascending id: the
+    node-by-node definition the vectorised step must reproduce bit for
+    bit, draws from ``rng`` included."""
+    out = state.copy()
+    for i in range(state.n):
+        pos = out.positions[i]
+        wp = out.waypoints[i]
+        to_wp = wp - pos
+        dist = float(np.hypot(to_wp[0], to_wp[1]))
+        redraw = False
+        if out.pause_remaining[i] > 0.0 or dist == 0.0:
+            out.pause_remaining[i] = max(0.0, out.pause_remaining[i] - cfg.step)
+            redraw = out.pause_remaining[i] == 0.0
+        else:
+            travel = out.speeds[i] * cfg.step
+            if travel >= dist:
+                out.positions[i] = wp
+                out.pause_remaining[i] = cfg.pause
+                redraw = cfg.pause == 0.0
+            else:
+                out.positions[i] = pos + to_wp * (travel / dist)
+        if redraw:
+            out.waypoints[i, 0] = rng.uniform(0.0, cfg.area_width, size=1)[0]
+            out.waypoints[i, 1] = rng.uniform(0.0, cfg.area_height, size=1)[0]
+            out.speeds[i] = rng.uniform(cfg.speed_min, cfg.speed_max)
+    return out
+
+
+def dense_links(positions: np.ndarray, radius: float) -> np.ndarray:
+    """Disk-graph link matrix over all n-by-n pairs, True diagonal."""
+    diff = positions[:, None, :] - positions[None, :, :]
+    dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
+    edges = dist_sq <= radius * radius
+    np.fill_diagonal(edges, True)
+    return edges
+
+
+def dense_metropolis(edges: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Metropolis weights 1/(1 + max(deg_i, deg_j)) on the accessible
+    subgraph of a symmetric boolean link matrix, diagonal taking the rest."""
+    usable = edges & np.outer(mask, mask)
+    np.fill_diagonal(usable, False)
+    deg = usable.sum(axis=1)
+    weights = np.where(usable, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
+    np.fill_diagonal(weights, 1.0 - weights.sum(axis=1))
+    return weights
+
+
+def dense_deemphasis(weights: np.ndarray, nodes, factor: float) -> np.ndarray:
+    """Scale each rejoining node's links by ``factor``, one node after
+    another, moving the removed mass onto both diagonals."""
+    w = weights.copy()
+    idx = np.arange(w.shape[0])
+    for r in sorted(int(i) for i in nodes):
+        off = w[r].copy()
+        off[r] = 0.0
+        removed = (1.0 - factor) * off
+        w[r] -= removed
+        w[:, r] -= removed
+        w[r, r] += removed.sum()
+        w[idx, idx] += removed
+    return w

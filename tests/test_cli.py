@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from gossipsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from gossipsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, pool_size
 from gossipsim.config import ConfigError, run_config_from_dict, run_config_to_dict, spawn_seeded
 from gossipsim.diagnostics import TRACE_COLUMNS, read_trace_csv
 
@@ -320,6 +320,63 @@ def test_check_reports_malformed_outputs_in_one_line(tmp_path, capsys, damage):
     assert captured.err.count("\n") == 1
 
 
+def _edit_summary(sweep, edit):
+    summary = sweep / "summary.csv"
+    rows = [line.split(",") for line in summary.read_text().splitlines()]
+    edit(rows)
+    summary.write_text("\n".join(",".join(cells) for cells in rows) + "\n")
+    return summary
+
+
+def _runs_not_a_number(sweep):
+    return _edit_summary(sweep, lambda rows: rows[1].__setitem__(2, "two")), "runs is not a number"
+
+
+def _statistic_not_a_number(sweep):
+    summary = _edit_summary(sweep, lambda rows: rows[2].__setitem__(5, "abc"))
+    return summary, "final_mean_loss_mean is not a number"
+
+
+def _missing_column(sweep):
+    def drop_last(rows):
+        for cells in rows:
+            cells.pop()
+
+    return _edit_summary(sweep, drop_last), "missing column 'final_mean_loss_std'"
+
+
+def _short_summary_row(sweep):
+    return _edit_summary(sweep, lambda rows: rows[1].pop()), "line 2 has 6 cells"
+
+
+@pytest.mark.parametrize("damage", [
+    _runs_not_a_number, _statistic_not_a_number, _missing_column, _short_summary_row,
+])
+def test_check_reports_a_malformed_summary_in_one_line(tmp_path, capsys, damage):
+    cfg = _write_config(tmp_path, SMALL)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--axis", "dropout_p",
+                 "--values", "0,0.2", "--seeds", "1", "--out", str(out)]) == EXIT_OK
+    path, reason = damage(out)
+    capsys.readouterr()
+    assert main(["check", "--out", str(out)]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"check error: {path}: ")
+    assert reason in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_check_fails_a_nan_summary_statistic(tmp_path, capsys):
+    cfg = _write_config(tmp_path, SMALL)
+    out = tmp_path / "sweep"
+    main(["sweep", "--config", cfg, "--axis", "dropout_p",
+          "--values", "0", "--seeds", "1,2", "--out", str(out)])
+    _edit_summary(out, lambda rows: rows[1].__setitem__(3, "nan"))
+    assert main(["check", "--out", str(out)]) == EXIT_RUNTIME
+    assert "FAIL  summary consistency: final_dist_wtilde_sq_mean mismatch" in capsys.readouterr().out
+
+
 def test_check_missing_outputs_exits_two(tmp_path):
     assert main(["check", "--out", str(tmp_path / "nothing")]) == EXIT_USAGE
     empty = tmp_path / "empty"
@@ -349,6 +406,32 @@ def test_sweep_bad_jobs_env_is_a_config_error(tmp_path, capsys, monkeypatch, job
                  "--values", "0", "--seeds", "1", "--out", str(tmp_path / "s")])
     assert code == EXIT_USAGE
     assert "config error: GOSSIPSIM_JOBS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, env", [("-2", None), ("0", None), (None, "0"), ("3", "-1")])
+def test_sweep_jobs_below_one_is_a_config_error(tmp_path, capsys, monkeypatch, flag, env):
+    cfg = _write_config(tmp_path, SMALL)
+    if env is not None:
+        monkeypatch.setenv("GOSSIPSIM_JOBS", env)
+    else:
+        monkeypatch.delenv("GOSSIPSIM_JOBS", raising=False)
+    args = ["sweep", "--config", cfg, "--axis", "dropout_p",
+            "--values", "0", "--seeds", "1", "--out", str(tmp_path / "s")]
+    assert main(args + (["--jobs", flag] if flag else [])) == EXIT_USAGE
+    source = "GOSSIPSIM_JOBS" if env is not None else "--jobs"
+    assert f"config error: {source} must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("jobs, tasks, cpus, workers", [
+    (2, 12, 2, 2),
+    (8, 12, 2, 2),  # no more workers than CPUs
+    (8, 3, 16, 3),  # no more workers than tasks
+    (1, 12, 16, 1),
+    (64, 12, None, 1),  # an unknown CPU count counts as one
+])
+def test_pool_size_is_clamped_to_tasks_and_cpus(jobs, tasks, cpus, workers):
+    assert pool_size(jobs, tasks, cpus) == workers
 
 
 @pytest.mark.parametrize("axis, values", [

@@ -101,7 +101,7 @@ def test_disconnected_nodes_run_independent_sgd():
     state = init_state(cfg.sim, suite, streams)
     result = advance_round(state, suite, cfg.sim, streams)
     # the area is 1000x1000 and the radius 1 m, so the two nodes are apart
-    assert np.array_equal(result.matrix.weights, np.eye(2))
+    assert np.array_equal(result.matrix.weights.toarray(), np.eye(2))
     assert np.array_equal(result.models_half, result.models_before)
     assert not np.allclose(result.state.models, result.models_before)
 

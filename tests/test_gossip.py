@@ -18,24 +18,35 @@ from gossipsim.mobility import Adjacency
 
 
 def _adj(matrix) -> Adjacency:
-    return Adjacency(np.asarray(matrix, dtype=bool))
+    """The links of a symmetric boolean matrix (its diagonal is ignored)."""
+    matrix = np.asarray(matrix, dtype=bool)
+    return Adjacency(len(matrix), np.argwhere(np.triu(matrix, 1)))
+
+
+def _matrix(weights) -> GossipMatrix:
+    """A GossipMatrix holding a dense symmetric weight matrix."""
+    weights = np.asarray(weights, dtype=float)
+    i, j = np.nonzero(np.triu(weights, 1))
+    return GossipMatrix(len(weights), i, j, weights[i, j], weights.diagonal().copy())
+
+
+def _dense(G: GossipMatrix) -> np.ndarray:
+    return G.weights.toarray()
 
 
 def _random_adjacency(rng, n):
     edges = rng.random((n, n)) < rng.uniform(0.1, 0.9)
-    edges = edges | edges.T
-    np.fill_diagonal(edges, True)
-    return Adjacency(edges)
+    return _adj(edges | edges.T)
 
 
 def test_two_connected_nodes_average_evenly():
     G = build_gossip_matrix(_adj([[1, 1], [1, 1]]), np.ones(2, dtype=bool))
-    assert np.allclose(G.weights, [[0.5, 0.5], [0.5, 0.5]])
+    assert np.allclose(_dense(G), [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_triangle_gives_uniform_thirds():
     G = build_gossip_matrix(_adj(np.ones((3, 3))), np.ones(3, dtype=bool))
-    assert np.allclose(G.weights, np.full((3, 3), 1.0 / 3.0))
+    assert np.allclose(_dense(G), np.full((3, 3), 1.0 / 3.0))
 
 
 def test_inaccessible_node_gets_identity_row():
@@ -47,21 +58,22 @@ def test_inaccessible_node_gets_identity_row():
         G = build_gossip_matrix(adj, accessible)
         expected = np.zeros(6)
         expected[2] = 1.0
-        assert np.array_equal(G.weights[2], expected)
-        assert np.array_equal(G.weights[:, 2], expected)
+        assert np.array_equal(_dense(G)[2], expected)
+        assert np.array_equal(_dense(G)[:, 2], expected)
 
 
 def test_asymmetric_adjacency_rejected():
-    edges = np.zeros((3, 3), dtype=bool)
-    edges[0, 1] = True
-    with pytest.raises(ValueError):
-        build_gossip_matrix(Adjacency(edges), np.ones(3, dtype=bool))
+    # a link is one pair i < j and stands for both directions; a pair
+    # listed the other way round, a self-link or an unknown node is refused
+    for pairs in ([[1, 0]], [[1, 1]], [[0, 3]], [[-1, 2]]):
+        with pytest.raises(ValueError):
+            build_gossip_matrix(Adjacency(3, pairs), np.ones(3, dtype=bool))
 
 
 def test_accessible_set_accepts_node_ids():
     G = build_gossip_matrix(_adj(np.ones((3, 3))), {0, 1})
-    assert np.allclose(G.weights[:2, :2], [[0.5, 0.5], [0.5, 0.5]])
-    assert G.weights[2, 2] == 1.0
+    assert np.allclose(_dense(G)[:2, :2], [[0.5, 0.5], [0.5, 0.5]])
+    assert _dense(G)[2, 2] == 1.0
 
 
 def test_verify_identity_matrix():
@@ -94,26 +106,26 @@ def test_zero_pattern_respects_graph_and_accessibility():
         accessible = rng.random(n) < 0.7
         G = build_gossip_matrix(adj, accessible)
         off = ~np.eye(n, dtype=bool)
-        positive = (G.weights > 0) & off
-        allowed = adj.edges & np.outer(accessible, accessible) & off
+        positive = (_dense(G) > 0) & off
+        allowed = adj.edges.toarray() & np.outer(accessible, accessible) & off
         assert not np.any(positive & ~allowed)
 
 
 def test_identity_matrix_keeps_models():
     models = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = gossip_average(models, GossipMatrix(np.eye(2)))
+    out = gossip_average(models, _matrix(np.eye(2)))
     assert np.array_equal(out, models)
 
 
 def test_even_mixing_of_two_models():
-    G = GossipMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    G = _matrix([[0.5, 0.5], [0.5, 0.5]])
     models = np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]])
     out = gossip_average(models, G)
     assert np.allclose(out, np.ones((2, 3)))
 
 
 def test_dimension_mismatch_rejected():
-    G = GossipMatrix(np.eye(2))
+    G = _matrix(np.eye(2))
     with pytest.raises(ValueError):
         gossip_average([np.zeros(3), np.zeros(2)], G)
     with pytest.raises(ValueError):
@@ -159,17 +171,17 @@ def test_deemphasis_keeps_double_stochasticity_and_scales_links():
     assert verify_doubly_stochastic(scaled, 1e-9)
     for j in range(8):
         if j not in (2, 5):
-            assert scaled.weights[2, j] == pytest.approx(0.25 * G.weights[2, j])
+            assert _dense(scaled)[2, j] == pytest.approx(0.25 * _dense(G)[2, j])
     # factor 1 is a no-op
     same = deemphasize_rejoined(G, [2, 5], 1.0)
-    assert np.array_equal(same.weights, G.weights)
+    assert np.array_equal(_dense(same), _dense(G))
 
 
 def test_deemphasis_zero_isolates_the_rejoined_node():
     adj = _adj(np.ones((4, 4)))
     G = build_gossip_matrix(adj, np.ones(4, dtype=bool))
     scaled = deemphasize_rejoined(G, [1], 0.0)
-    assert scaled.weights[1, 1] == pytest.approx(1.0)
+    assert _dense(scaled)[1, 1] == pytest.approx(1.0)
     assert verify_doubly_stochastic(scaled, 1e-9)
     assert not active_nodes(scaled)[1]
 
@@ -223,6 +235,6 @@ def test_property_mixing_preserves_the_mean_model(net):
 def test_property_mask_set_and_ids_give_the_same_matrix(net):
     adj, mask, _, _, _ = net
     ids = np.flatnonzero(mask)
-    G = build_gossip_matrix(adj, mask).weights
-    assert np.array_equal(G, build_gossip_matrix(adj, set(ids.tolist())).weights)
-    assert np.array_equal(G, build_gossip_matrix(adj, ids).weights)
+    G = _dense(build_gossip_matrix(adj, mask))
+    assert np.array_equal(G, _dense(build_gossip_matrix(adj, set(ids.tolist()))))
+    assert np.array_equal(G, _dense(build_gossip_matrix(adj, ids)))

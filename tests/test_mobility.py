@@ -157,8 +157,9 @@ def test_connectivity_symmetric_and_reflexive_on_random_states():
     for _ in range(1000):
         st = init_mobility(6, cfg, rng)
         adj = connectivity(st, 250.0)
-        assert np.array_equal(adj.edges, adj.edges.T)
-        assert adj.edges.diagonal().all()
+        edges = adj.edges.toarray()
+        assert np.array_equal(edges, edges.T)
+        assert edges.diagonal().all()
 
 
 def test_trajectory_csv_format(tmp_path):
