@@ -1,8 +1,11 @@
-"""Pinned traces of the default ridge and softmax configs.
+"""Pinned traces of the default ridge and softmax configs and of a ridge
+run with churn.
 
-The files in ``golden/`` were written by ``gossipsim run`` on the default
-config (``{}``) and on ``{"suite": {"kind": "softmax"}}`` at seeds 0 and
-3.  A change to how a sum is taken may move a value in its last digits;
+The files in ``golden/`` were written by ``gossipsim run`` at seeds 0 and
+3 on the configs in :data:`CONFIGS`: the default (``{}``), softmax, and a
+ridge run whose nodes drop out (``dropout_p`` 0.2, ``lambda`` 0.5) and
+rejoin de-emphasised (0.5), the only one that exercises the churn stream.
+A change to how a sum is taken may move a value in its last digits;
 a change to the model, the RNG draw order or a formula moves it further
 and fails here.  A change that means to alter the numbers re-blesses the
 files on purpose and says why.
@@ -21,7 +24,11 @@ from gossipsim.cli import EXIT_OK, main
 from gossipsim.diagnostics import TRACE_COLUMNS, read_trace_csv
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CONFIGS = {"ridge": {}, "softmax": {"suite": {"kind": "softmax"}}}
+CONFIGS = {
+    "ridge": {},
+    "softmax": {"suite": {"kind": "softmax"}},
+    "ridge-churn": {"churn": {"dropout_p": 0.2, "lambda": 0.5}, "deemphasis": 0.5},
+}
 RTOL = 1e-9
 ATOL = 1e-12
 
