@@ -12,7 +12,6 @@ from gossipsim import (
     ChurnConfig,
     absence_duration,
     init_accessibility,
-    partition_nodes,
     rounds_since_accessible,
     step_accessibility,
 )
@@ -30,8 +29,7 @@ state = init_accessibility(14)
 out_counts = []
 for t in range(50):
     state = step_accessibility(state, cfg, t, rng)
-    _, _, n1, n2 = partition_nodes(state)
-    out_counts.append(n2)
+    out_counts.append(int((~state.accessible).sum()))
 print(f"  inaccessible per round: mean {np.mean(out_counts):.2f}, max {max(out_counts)}")
 
 print("\nstaleness of node 0 across one forced outage:")

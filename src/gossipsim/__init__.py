@@ -16,7 +16,6 @@ from .accessibility import (
     absence_duration,
     accessible_mask,
     init_accessibility,
-    partition_nodes,
     rounds_since_accessible,
     step_accessibility,
 )

@@ -20,7 +20,6 @@ __all__ = [
     "step_accessibility",
     "absence_duration",
     "rounds_since_accessible",
-    "partition_nodes",
     "accessible_mask",
 ]
 
@@ -43,28 +42,30 @@ class ChurnConfig:
 
 @dataclass
 class AccessibilityState:
-    """``accessible`` flags per node, scheduled rejoin rounds for dropped
-    nodes, and the last round each node was accessible (-1 before the
-    first round)."""
+    """Per node, the round a dropped node rejoins (-1 while it is
+    accessible) and the last round it was accessible (-1 before the first
+    round)."""
 
-    accessible: np.ndarray
-    rejoin_at: dict
+    rejoin_at: np.ndarray
     last_accessible: np.ndarray
 
     @property
+    def accessible(self) -> np.ndarray:
+        """Mask of the nodes not waiting to rejoin (a fresh array)."""
+        return self.rejoin_at < 0
+
+    @property
     def n(self) -> int:
-        return self.accessible.shape[0]
+        return self.rejoin_at.shape[0]
 
     def copy(self) -> "AccessibilityState":
-        return AccessibilityState(
-            self.accessible.copy(), dict(self.rejoin_at), self.last_accessible.copy()
-        )
+        return AccessibilityState(self.rejoin_at.copy(), self.last_accessible.copy())
 
 
 def init_accessibility(n: int) -> AccessibilityState:
     if n < 1:
         raise ValueError("need at least one node")
-    return AccessibilityState(np.ones(n, dtype=bool), {}, np.full(n, -1, dtype=np.int64))
+    return AccessibilityState(np.full(n, -1, dtype=np.int64), np.full(n, -1, dtype=np.int64))
 
 
 def absence_duration(rate: float, rng: np.random.Generator) -> float:
@@ -88,15 +89,12 @@ def step_accessibility(
     for all nodes accessible at the end of the round.
     """
     out = state.copy()
-    eligible = state.accessible.copy()
-    for i in sorted(out.rejoin_at):
-        if out.rejoin_at[i] <= t:
-            out.accessible[i] = True
-            del out.rejoin_at[i]
-    for i in range(out.n):
-        if eligible[i] and cfg.dropout_p > 0.0 and rng.random() < cfg.dropout_p:
-            out.accessible[i] = False
-            out.rejoin_at[i] = t + math.ceil(absence_duration(cfg.rate, rng))
+    eligible = np.flatnonzero(state.accessible)
+    out.rejoin_at[out.rejoin_at <= t] = -1
+    if cfg.dropout_p > 0.0:
+        for i in eligible:
+            if rng.random() < cfg.dropout_p:
+                out.rejoin_at[i] = t + math.ceil(absence_duration(cfg.rate, rng))
     out.last_accessible[out.accessible] = t
     return out
 
@@ -109,22 +107,13 @@ def rounds_since_accessible(state: AccessibilityState, t: int, i: int) -> int:
     return int(t - state.last_accessible[i])
 
 
-def partition_nodes(state: AccessibilityState):
-    """Split all nodes into the accessible set and its complement.
-
-    Returns ``(accessible_set, dropped_set, n1, n2)`` with n1 + n2 = n.
-    """
-    accessible = {i for i in range(state.n) if state.accessible[i]}
-    dropped = {i for i in range(state.n) if not state.accessible[i]}
-    return accessible, dropped, len(accessible), len(dropped)
-
-
 def accessible_mask(n: int, accessible) -> np.ndarray:
     """Boolean length-``n`` mask of the accessible nodes.
 
     ``accessible`` is a boolean mask (returned as is), or a set or array
-    of node ids.  Ids outside [0, n) are rejected instead of wrapping
-    around through negative indexing.
+    of integer node ids.  Ids outside [0, n) are rejected instead of
+    wrapping around through negative indexing, and fractional ids instead
+    of being truncated.
     """
     if isinstance(accessible, (set, frozenset)):
         accessible = list(accessible)
@@ -133,6 +122,8 @@ def accessible_mask(n: int, accessible) -> np.ndarray:
         if arr.shape != (n,):
             raise ValueError("boolean accessibility mask has wrong length")
         return arr
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"node ids must be integers, got {arr.dtype}")
     ids = arr.astype(int)
     if np.any((ids < 0) | (ids >= n)):
         raise ValueError(f"node ids must lie in [0, {n})")

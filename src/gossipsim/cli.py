@@ -129,6 +129,16 @@ def _sweep_task(args) -> tuple[str, int, float, float]:
     return value_label, config.sim.seed, last.dist_wtilde_sq, last.mean_loss
 
 
+def _final_stats(dists, losses) -> list:
+    """The statistic columns of a summary row: the mean and the sample
+    standard deviation (0 for one run) of the final distances, then of the
+    final losses."""
+    stats = []
+    for values in (np.asarray(dists, dtype=float), np.asarray(losses, dtype=float)):
+        stats += [values.mean(), values.std(ddof=1) if values.size > 1 else 0.0]
+    return stats
+
+
 def pool_size(jobs: int, tasks: int, cpus) -> int:
     """Worker processes for a sweep: the requested ``jobs``, but no more
     than there are tasks or CPUs (``cpus`` None counts as one)."""
@@ -187,22 +197,9 @@ def cmd_sweep(config_path, axis, values, seeds, out_dir, jobs=None) -> int:
     lines = [",".join(SUMMARY_COLUMNS)]
     for value in values:
         label = _fmt_value(value)
-        dists = np.array([d for d, _ in by_value[label]])
-        losses = np.array([l for _, l in by_value[label]])
-        k = len(dists)
-        lines.append(
-            ",".join(
-                [
-                    axis,
-                    label,
-                    str(k),
-                    format(dists.mean(), ".12g"),
-                    format(dists.std(ddof=1) if k > 1 else 0.0, ".12g"),
-                    format(losses.mean(), ".12g"),
-                    format(losses.std(ddof=1) if k > 1 else 0.0, ".12g"),
-                ]
-            )
-        )
+        finals = by_value[label]
+        stats = _final_stats([d for d, _ in finals], [l for _, l in finals])
+        lines.append(",".join([axis, label, str(len(finals))] + [format(x, ".12g") for x in stats]))
 
     def write_summary(p: Path) -> None:
         with open(p, "w", newline="\n") as fh:
@@ -355,16 +352,8 @@ def _verify_summary(out: Path, rows: list):
         if len(traces) != row["runs"]:
             return False, f"run count mismatch for {axis}={label}"
         finals = [read_trace_csv(t)[-1] for t in traces]
-        dists = np.array([r.dist_wtilde_sq for r in finals])
-        losses = np.array([r.mean_loss for r in finals])
-        k = len(dists)
-        expected = {
-            "final_dist_wtilde_sq_mean": dists.mean(),
-            "final_dist_wtilde_sq_std": dists.std(ddof=1) if k > 1 else 0.0,
-            "final_mean_loss_mean": losses.mean(),
-            "final_mean_loss_std": losses.std(ddof=1) if k > 1 else 0.0,
-        }
-        for name, value in expected.items():
+        stats = _final_stats([r.dist_wtilde_sq for r in finals], [r.mean_loss for r in finals])
+        for name, value in zip(SUMMARY_COLUMNS[3:], stats):
             # written so that a NaN on either side is a mismatch
             if not abs(row[name] - value) <= 1e-9 * max(1.0, abs(value)):
                 return False, f"{name} mismatch for {axis}={label}"

@@ -55,17 +55,19 @@ class RunConfig:
 
 
 def _section(raw: dict, name: str, allowed: dict) -> dict:
-    """Validate one object section against {key: caster} and return kwargs."""
+    """Validate one object section against {key: caster} and return kwargs.
+    ``name`` is the section's field name, or "" for the top level."""
     if not isinstance(raw, dict):
         raise ConfigError(f"field '{name}' must be an object")
     out = {}
     for key, value in raw.items():
+        field = f"{name}.{key}" if name else key
         if key not in allowed:
-            raise ConfigError(f"unknown field '{name}.{key}'")
+            raise ConfigError(f"unknown field '{field}'")
         try:
             out[allowed[key][1]] = allowed[key][0](value)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"field '{name}.{key}': {exc}") from exc
+            raise ConfigError(f"field '{field}': {exc}") from exc
     return out
 
 
@@ -156,17 +158,8 @@ def run_config_from_dict(raw: dict) -> RunConfig:
     """Build a validated RunConfig from a parsed JSON object."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    top = {}
-    sections = {"mobility": {}, "churn": {}, "partition": {}, "suite": {}}
-    for key, value in raw.items():
-        if key in sections:
-            continue
-        if key not in _TOP_KEYS:
-            raise ConfigError(f"unknown field '{key}'")
-        try:
-            top[_TOP_KEYS[key][1]] = _TOP_KEYS[key][0](value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"field '{key}': {exc}") from exc
+    sections = ("mobility", "churn", "partition", "suite")
+    top = _section({k: v for k, v in raw.items() if k not in sections}, "", _TOP_KEYS)
     try:
         mobility = MobilityConfig(**_section(raw.get("mobility", {}), "mobility", _MOBILITY_KEYS))
         churn = ChurnConfig(**_section(raw.get("churn", {}), "churn", _CHURN_KEYS))

@@ -80,8 +80,6 @@ def partial_average(models, accessible, mode: str = "literal") -> np.ndarray:
     arr = _as_models(models)
     mask = accessible_mask(arr.shape[0], accessible)
     n1, n2 = int(mask.sum()), int((~mask).sum())
-    if n1 == 0 and n2 == 0:
-        raise ValueError("at least one group must be nonempty")
     mean_in = arr[mask].mean(axis=0) if n1 else np.zeros(arr.shape[1])
     mean_out = arr[~mask].mean(axis=0) if n2 else np.zeros(arr.shape[1])
     if mode == "literal":
@@ -113,32 +111,23 @@ def gradient_gap(models, accessible, suite) -> float:
     return float(np.linalg.norm(diff))
 
 
-def gradient_gap_bound(
-    models, accessible, wbar, smoothness: float, eta: float, constant: str = "appendix"
-) -> float:
-    """Upper bound paired with :func:`gradient_gap`.
+def gradient_gap_bound(models, accessible, smoothness: float, eta: float) -> tuple[float, float]:
+    """Upper bounds paired with :func:`gradient_gap`, as ``(main, appendix)``.
 
     The bracket is n1 * ||mean_accessible - wbar|| plus the summed
-    distances of dropped models from wbar, evaluated on the pre-round
-    models.  ``constant`` picks the prefactor: ``main`` uses
-    L * eta^2 / n, ``appendix`` uses (1 + L * eta^2) / n.
+    distances of dropped models from wbar, the mean of ``models``.  The
+    two bounds scale it by L * eta^2 / n and (1 + L * eta^2) / n.
     """
     arr = _as_models(models)
     mask = accessible_mask(arr.shape[0], accessible)
     n = arr.shape[0]
-    wbar = arr.mean(axis=0) if wbar is None else np.asarray(wbar, dtype=float)
-    bracket = 0.0
+    wbar = arr.mean(axis=0)
+    bracket = float(np.linalg.norm(arr[~mask] - wbar, axis=1).sum())
     if mask.any():
         bracket += mask.sum() * float(np.linalg.norm(arr[mask].mean(axis=0) - wbar))
-    for i in np.flatnonzero(~mask):
-        bracket += float(np.linalg.norm(arr[i] - wbar))
-    if constant == "main":
-        factor = smoothness * eta * eta / n
-    elif constant == "appendix":
-        factor = (1.0 + smoothness * eta * eta) / n
-    else:
-        raise ValueError(f"unknown bound constant {constant!r}")
-    return factor * bracket
+    main = smoothness * eta * eta / n * bracket
+    appendix = (1.0 + smoothness * eta * eta) / n * bracket
+    return main, appendix
 
 
 def convergence_terms(

@@ -223,7 +223,6 @@ def _round_trace(result: RoundResult, suite: ProblemSuite, cfg: SimConfig,
     n1 = int(part.sum())
     n2 = n - n1
     models_after = result.state.models
-    wbar_before = full_average(result.models_before)
     wbar_after = full_average(models_after)
     wtilde_after = partial_average(models_after, part, cfg.wtilde_mode)
 
@@ -233,6 +232,9 @@ def _round_trace(result: RoundResult, suite: ProblemSuite, cfg: SimConfig,
         mean_out_norm_sq = float(mean_out @ mean_out)
     else:
         mean_out_norm_sq = 0.0
+    div_rhs_main, div_rhs_appendix = gradient_gap_bound(
+        result.models_before, part, suite.L, result.eta
+    )
     alpha, beta = convergence_terms(
         n1, n2, mean_out_norm_sq, suite.gamma, result.eta, suite.L, suite.mu,
         grad_bound_sq, cfg.churn.rate, n,
@@ -251,12 +253,8 @@ def _round_trace(result: RoundResult, suite: ProblemSuite, cfg: SimConfig,
         dist_wbar_sq=distance_to_optimum(wbar_after, suite.w_star),
         dist_wtilde_sq=distance_to_optimum(wtilde_after, suite.w_star),
         div_lhs=gradient_gap(models_after, part, suite),
-        div_rhs_main=gradient_gap_bound(
-            result.models_before, part, wbar_before, suite.L, result.eta, "main"
-        ),
-        div_rhs_appendix=gradient_gap_bound(
-            result.models_before, part, wbar_before, suite.L, result.eta, "appendix"
-        ),
+        div_rhs_main=div_rhs_main,
+        div_rhs_appendix=div_rhs_appendix,
         alpha_t=alpha,
         beta_t=beta,
         gap_term=gap_term(n2, result.eta, suite.mu, grad_bound_sq, cfg.churn.rate, n),

@@ -156,10 +156,10 @@ def per_sample_grad_sq_norms(p: NodeProblem, w) -> np.ndarray:
     w = _check_dim(p, w)
     x = p.features
     if p.kind == "ridge":
-        resid = x @ w - p.targets
+        xw = x @ w
+        resid = xw - p.targets
         # grad_j = resid_j * x_j + reg * w
         xx = np.einsum("ij,ij->i", x, x)
-        xw = x @ w
         return resid**2 * xx + 2.0 * p.reg * resid * xw + p.reg**2 * (w @ w)
     mat = w.reshape(p.n_classes, -1)
     a = _softmax_probs(x @ mat.T)

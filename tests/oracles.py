@@ -7,6 +7,8 @@ is used to verify.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -124,3 +126,38 @@ def dense_deemphasis(weights: np.ndarray, nodes, factor: float) -> np.ndarray:
         w[r, r] += removed.sum()
         w[idx, idx] += removed
     return w
+
+
+def step_accessibility_dict(accessible, rejoin_at, last_accessible, cfg, t, rng):
+    """The churn step on a boolean mask plus a dict {node: rejoin round},
+    walked in sorted node order: the definition the array state must
+    reproduce exactly, draws from ``rng`` included.  Returns new
+    ``(accessible, rejoin_at, last_accessible)``."""
+    accessible = accessible.copy()
+    rejoin_at = dict(rejoin_at)
+    last_accessible = last_accessible.copy()
+    eligible = accessible.copy()
+    for i in sorted(rejoin_at):
+        if rejoin_at[i] <= t:
+            accessible[i] = True
+            del rejoin_at[i]
+    for i in range(accessible.shape[0]):
+        if eligible[i] and cfg.dropout_p > 0.0 and rng.random() < cfg.dropout_p:
+            accessible[i] = False
+            rejoin_at[i] = t + math.ceil(float(rng.exponential(1.0 / cfg.rate)))
+    last_accessible[accessible] = t
+    return accessible, rejoin_at, last_accessible
+
+
+def gap_bound_loop(models: np.ndarray, mask: np.ndarray, smoothness: float, eta: float):
+    """The gradient-gap bound's bracket summed one node at a time around
+    the mean model, scaled by L*eta^2/n and (1 + L*eta^2)/n."""
+    n = models.shape[0]
+    wbar = models.mean(axis=0)
+    bracket = 0.0
+    if mask.any():
+        bracket += mask.sum() * float(np.sqrt(np.sum((models[mask].mean(axis=0) - wbar) ** 2)))
+    for i in range(n):
+        if not mask[i]:
+            bracket += float(np.sqrt(np.sum((models[i] - wbar) ** 2)))
+    return smoothness * eta**2 / n * bracket, (1.0 + smoothness * eta**2) / n * bracket

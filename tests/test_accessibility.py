@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from gossipsim.accessibility import (
     ChurnConfig,
     absence_duration,
     init_accessibility,
-    partition_nodes,
     rounds_since_accessible,
     step_accessibility,
 )
+from oracles import step_accessibility_dict
 
 
 def test_config_validation():
@@ -30,7 +32,7 @@ def test_zero_dropout_keeps_everyone_accessible():
     for t in range(200):
         st = step_accessibility(st, cfg, t, rng)
         assert st.accessible.all()
-        assert st.rejoin_at == {}
+        assert (st.rejoin_at == -1).all()
 
 
 def test_duration_mean_matches_rate():
@@ -120,32 +122,6 @@ def test_unknown_node_rejected():
         rounds_since_accessible(st, 0, 3)
 
 
-def test_partition_all_accessible():
-    st = init_accessibility(14)
-    acc, dropped, n1, n2 = partition_nodes(st)
-    assert n1 == 14 and n2 == 0
-    assert acc == set(range(14)) and dropped == set()
-
-
-def test_partition_one_dropped():
-    st = init_accessibility(14)
-    st.accessible[3] = False
-    acc, dropped, n1, n2 = partition_nodes(st)
-    assert n1 == 13 and n2 == 1 and dropped == {3}
-
-
-def test_partition_is_disjoint_cover_on_random_states():
-    rng = np.random.default_rng(9)
-    for _ in range(1000):
-        n = int(rng.integers(1, 15))
-        st = init_accessibility(n)
-        st.accessible = rng.random(n) < 0.7
-        acc, dropped, n1, n2 = partition_nodes(st)
-        assert acc | dropped == set(range(n))
-        assert acc & dropped == set()
-        assert n1 + n2 == n
-
-
 def test_mean_inaccessible_count_near_reported_setting():
     # n=14, p=10%, rate=1: churn alone keeps roughly 1.5-2 nodes out per round
     cfg = ChurnConfig(dropout_p=0.1, rate=1.0)
@@ -166,9 +142,32 @@ def test_invariant_rejoin_map_matches_flags():
     st = init_accessibility(10)
     for t in range(100):
         st = step_accessibility(st, cfg, t, rng)
-        for i in range(10):
-            if not st.accessible[i]:
-                assert i in st.rejoin_at and st.rejoin_at[i] > t
-            else:
-                assert i not in st.rejoin_at
+        dropped = ~st.accessible
+        assert (st.rejoin_at[dropped] > t).all()
+        assert (st.rejoin_at[~dropped] == -1).all()
         assert np.all(st.last_accessible <= t)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 30),
+    dropout_p=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    rate=st.floats(0.05, 10.0),
+    rounds=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_array_state_matches_dict_reference(n, dropout_p, rate, rounds, seed):
+    cfg = ChurnConfig(dropout_p=dropout_p, rate=rate)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    state = init_accessibility(n)
+    accessible, rejoin_at, last = np.ones(n, dtype=bool), {}, np.full(n, -1, dtype=np.int64)
+    for t in range(rounds):
+        state = step_accessibility(state, cfg, t, rng)
+        accessible, rejoin_at, last = step_accessibility_dict(
+            accessible, rejoin_at, last, cfg, t, ref_rng
+        )
+        assert np.array_equal(state.accessible, accessible)
+        scheduled = np.flatnonzero(state.rejoin_at >= 0)
+        assert {int(i): int(state.rejoin_at[i]) for i in scheduled} == rejoin_at
+        assert np.array_equal(state.last_accessible, last)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

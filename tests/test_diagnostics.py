@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipsim.diagnostics import (
     TRACE_COLUMNS,
@@ -19,6 +21,7 @@ from gossipsim.diagnostics import (
     write_trace_csv,
 )
 from gossipsim.objective import NodeProblem, build_suite, local_gradient
+from oracles import gap_bound_loop
 
 
 def _two_node_suite():
@@ -124,8 +127,9 @@ def test_gradient_gap_matches_hand_computation():
 def test_gradient_gap_bound_zero_for_identical_models():
     models = np.tile([0.5, 0.5], (4, 1))
     mask = np.array([True, True, True, False])
-    assert gradient_gap_bound(models, mask, None, 1.0, 0.1, "main") == 0.0
-    assert gradient_gap_bound(models, mask, None, 1.0, 0.1, "appendix") == 0.0
+    main, appendix = gradient_gap_bound(models, mask, 1.0, 0.1)
+    assert main == 0.0
+    assert appendix == 0.0
 
 
 def test_gradient_gap_bound_constant_ratio_exact():
@@ -133,22 +137,31 @@ def test_gradient_gap_bound_constant_ratio_exact():
     models = rng.normal(size=(5, 3))
     mask = rng.random(5) < 0.6
     smooth, eta = 1.7, 0.3
-    main = gradient_gap_bound(models, mask, None, smooth, eta, "main")
-    appendix = gradient_gap_bound(models, mask, None, smooth, eta, "appendix")
+    main, appendix = gradient_gap_bound(models, mask, smooth, eta)
     assert appendix / main == pytest.approx((1 + smooth * eta**2) / (smooth * eta**2))
 
 
 def test_gradient_gap_bound_bracket_hand_value():
-    # one accessible node 0.5 away from the reference, one dropped node a
-    # unit away: bracket = 1 * 0.5 + 1 = 1.5
-    models = np.array([[0.5, 0.0], [0.0, 1.0]])
-    mask = np.array([True, False])
-    wbar = np.zeros(2)
+    # the models average to zero; one accessible node 0.5 away from it,
+    # two dropped nodes 0.65 away each: bracket = 1 * 0.5 + 0.65 + 0.65
+    models = np.array([[0.5, 0.0], [-0.25, 0.6], [-0.25, -0.6]])
+    mask = np.array([True, False, False])
     smooth, eta = 2.0, 0.1
-    expected = (smooth * eta**2 / 2) * 1.5
-    assert gradient_gap_bound(models, mask, wbar, smooth, eta, "main") == pytest.approx(expected)
-    expected_app = ((1 + smooth * eta**2) / 2) * 1.5
-    assert gradient_gap_bound(models, mask, wbar, smooth, eta, "appendix") == pytest.approx(expected_app)
+    main, appendix = gradient_gap_bound(models, mask, smooth, eta)
+    assert main == pytest.approx((smooth * eta**2 / 3) * 1.8)
+    assert appendix == pytest.approx(((1 + smooth * eta**2) / 3) * 1.8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 12), d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       smooth=st.floats(0.01, 100.0), eta=st.floats(0.0, 1.0))
+def test_property_gradient_gap_bound_matches_node_loop(n, d, seed, smooth, eta):
+    rng = np.random.default_rng(seed)
+    models = rng.normal(scale=rng.uniform(0.1, 10.0), size=(n, d))
+    mask = rng.random(n) < rng.random()
+    got = gradient_gap_bound(models, mask, smooth, eta)
+    want = gap_bound_loop(models, mask, smooth, eta)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 def test_convergence_terms_alpha_identity():

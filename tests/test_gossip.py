@@ -186,9 +186,10 @@ def test_deemphasis_zero_isolates_the_rejoined_node():
     assert not active_nodes(scaled)[1]
 
 
-@pytest.mark.parametrize("bad", [-1, 4])
+@pytest.mark.parametrize("bad", [-1, 4, 1.5])
 def test_out_of_range_node_ids_are_rejected(bad):
-    # a raw index would wrap -1 around to node n-1 instead of failing
+    # a raw index would wrap -1 around to node n-1 instead of failing, and
+    # a cast to int would truncate 1.5 to node 1
     with pytest.raises(ValueError, match="node ids"):
         partial_average(np.arange(8.0).reshape(4, 2), np.array([bad]))
     with pytest.raises(ValueError, match="node ids"):
