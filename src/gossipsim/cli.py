@@ -18,7 +18,6 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,14 +28,23 @@ from .config import (
     RunConfig,
     build_problem_suite,
     load_run_config,
+    run_config_from_dict,
     run_config_to_dict,
     spawn_seeded,
 )
 from .diagnostics import TRACE_COLUMNS, read_trace_csv, write_trace_csv
-from .engine import EtaSchedule, run_simulation
+from .engine import run_simulation
 from .objective import suite_digest
 
-SWEEP_AXES = ("dropout_p", "lambda", "alpha", "deemphasis", "eta")
+# Each sweep axis and where its value sits in a config file: (section, key),
+# the section None for a top-level key.
+SWEEP_AXES = {
+    "dropout_p": ("churn", "dropout_p"),
+    "lambda": ("churn", "lambda"),
+    "alpha": ("partition", "alpha"),
+    "deemphasis": (None, "deemphasis"),
+    "eta": ("eta", "eta0"),
+}
 SUMMARY_COLUMNS = (
     "axis", "value", "runs", "final_dist_wtilde_sq_mean", "final_dist_wtilde_sq_std",
     "final_mean_loss_mean", "final_mean_loss_std",
@@ -84,7 +92,7 @@ def cmd_run(config_path: str, out_dir: str, seed=None) -> int:
         config = load_run_config(config_path)
         if seed is not None:
             config = spawn_seeded(config, seed)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError, or a --seed out of range
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -96,27 +104,15 @@ def cmd_run(config_path: str, out_dir: str, seed=None) -> int:
 
 
 def _apply_axis(config: RunConfig, axis: str, value: float) -> RunConfig:
-    sim, part = config.sim, config.partition
-    if axis == "dropout_p":
-        sim = replace(sim, churn=replace(sim.churn, dropout_p=value))
-    elif axis == "lambda":
-        sim = replace(sim, churn=replace(sim.churn, rate=value))
-    elif axis == "alpha":
-        if math.isinf(value):
-            part = replace(part, scheme="iid", alpha=math.inf)
-        else:
-            part = replace(part, scheme="dirichlet", alpha=value)
-    elif axis == "deemphasis":
-        sim = replace(sim, deemphasis=value)
-    elif axis == "eta":
-        sim = replace(sim, eta=replace(sim.eta, eta0=value))
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
-    return RunConfig(sim=sim, partition=part, suite=config.suite)
-
-
-def _fmt_value(v: float) -> str:
-    return "inf" if math.isinf(v) else format(v, ".6g")
+    """The config with ``value`` written at the axis's config-file path
+    (an alpha axis also sets the matching partition scheme), parsed and
+    validated like a config file."""
+    raw = run_config_to_dict(config)
+    section, key = SWEEP_AXES[axis]
+    (raw[section] if section else raw)[key] = value
+    if axis == "alpha":
+        raw["partition"]["scheme"] = "iid" if math.isinf(value) else "dirichlet"
+    return run_config_from_dict(raw)
 
 
 def _sweep_task(args) -> tuple[str, int, float, float]:
@@ -124,8 +120,7 @@ def _sweep_task(args) -> tuple[str, int, float, float]:
     final dist_wtilde_sq, final mean_loss)."""
     config, value_label, run_dir = args
     _run_one(config, Path(run_dir))
-    rows = read_trace_csv(Path(run_dir) / "trace.csv")
-    last = rows[-1]
+    last = read_trace_csv(Path(run_dir) / "trace.csv")[-1]
     return value_label, config.sim.seed, last.dist_wtilde_sq, last.mean_loss
 
 
@@ -148,18 +143,19 @@ def pool_size(jobs: int, tasks: int, cpus) -> int:
 def cmd_sweep(config_path, axis, values, seeds, out_dir, jobs=None) -> int:
     try:
         if axis not in SWEEP_AXES:
-            raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
+            raise ConfigError(f"unknown sweep axis {axis!r}; choose from {tuple(SWEEP_AXES)}")
         if not values:
             raise ConfigError("sweep needs a nonempty values list")
         if not seeds:
             raise ConfigError("sweep needs a nonempty seeds list")
-        if not all(math.isfinite(v) or (axis == "alpha" and v == math.inf) for v in values):
-            raise ConfigError("sweep values must be finite numbers (alpha may be inf)")
+        labels = ["inf" if math.isinf(v) else format(v, ".6g") for v in values]
+        if len(set(labels)) < len(labels) or len(set(seeds)) < len(seeds):
+            raise ConfigError("sweep values (to 6 significant digits) and seeds must be "
+                              f"distinct, got values {labels} and seeds {seeds}")
         base = load_run_config(config_path)
         out = Path(out_dir)
         tasks = []
-        for value in values:
-            label = _fmt_value(value)
+        for value, label in zip(values, labels):
             for seed in seeds:
                 config = _apply_axis(spawn_seeded(base, seed), axis, value)
                 run_dir = out / "runs" / f"{axis}={label}" / f"seed={seed}"
@@ -177,7 +173,7 @@ def cmd_sweep(config_path, axis, values, seeds, out_dir, jobs=None) -> int:
         if jobs < 1:
             raise ConfigError(f"{source} must be at least 1, got {jobs}")
         workers = pool_size(jobs, len(tasks), os.cpu_count())
-    except ValueError as exc:  # ConfigError, or a swept value out of range
+    except ValueError as exc:  # ConfigError, or a seed out of range
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -195,8 +191,7 @@ def cmd_sweep(config_path, axis, values, seeds, out_dir, jobs=None) -> int:
     for label, seed, dist, loss in results:
         by_value.setdefault(label, []).append((dist, loss))
     lines = [",".join(SUMMARY_COLUMNS)]
-    for value in values:
-        label = _fmt_value(value)
+    for label in labels:
         finals = by_value[label]
         stats = _final_stats([d for d, _ in finals], [l for _, l in finals])
         lines.append(",".join([axis, label, str(len(finals))] + [format(x, ".12g") for x in stats]))
@@ -212,7 +207,7 @@ def cmd_sweep(config_path, axis, values, seeds, out_dir, jobs=None) -> int:
         {
             "config": run_config_to_dict(base),
             "axis": axis,
-            "values": [_fmt_value(v) for v in values],
+            "values": labels,
             "seeds": list(seeds),
             "outputs": ["summary.csv"]
             + [str(Path(t[2]).relative_to(out) / "trace.csv") for t in tasks],
@@ -223,20 +218,21 @@ def cmd_sweep(config_path, axis, values, seeds, out_dir, jobs=None) -> int:
 
 
 def _check_traces(out: Path):
-    """(trace path, rows, n, rounds, whether ridge, eta schedule) for every
-    run under out, read from its manifest's config echo.  A file that
+    """(trace path, rows, run config) for every run under out, the config
+    parsed from its manifest's echo, which must be canonical.  A file that
     cannot be read raises ValueError naming it."""
     found = []
     for mpath in sorted(out.rglob("manifest.json")):
         path = mpath
         try:
             with open(mpath) as fh:
-                config = json.load(fh)["config"]
-            run = (config["n"], config["rounds"], config["suite"]["kind"] == "ridge",
-                   EtaSchedule(**config["eta"]))
+                echo = json.load(fh)["config"]
+            config = run_config_from_dict(echo)
+            if run_config_to_dict(config) != echo:
+                raise ValueError("config is not a canonical echo (a field is missing or altered)")
             path = mpath.parent / "trace.csv"
             if path.exists():
-                found.append((path, read_trace_csv(path), *run))
+                found.append((path, read_trace_csv(path), config))
         except (OSError, KeyError, TypeError, ValueError) as exc:
             reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
             raise ValueError(f"{path}: {reason}") from None
@@ -270,10 +266,11 @@ def cmd_check(out_dir) -> int:
 
     rows_ok, finite_ok, nonneg_ok, counts_ok, order_ok, zero_gap_ok = (True,) * 6
     rows_where = finite_where = nonneg_where = counts_where = order_where = zero_where = ""
-    for trace, rows, n, rounds, ridge, eta in found:
-        if len(rows) != rounds:
-            rows_ok, rows_where = False, f"{trace} ({len(rows)} rows, {rounds} rounds)"
+    for trace, rows, config in found:
+        if len(rows) != config.sim.rounds:
+            rows_ok, rows_where = False, f"{trace} ({len(rows)} rows, {config.sim.rounds} rounds)"
         # ridge has no accuracy: its mean_acc column is NaN by design
+        ridge = config.suite.kind == "ridge"
         finite_cols = [c for c in TRACE_COLUMNS if not (c == "mean_acc" and ridge)]
         for row in rows:
             if not all(math.isfinite(getattr(row, c)) for c in finite_cols):
@@ -281,9 +278,9 @@ def cmd_check(out_dir) -> int:
             if min(row.dist_wbar_sq, row.dist_wtilde_sq, row.div_lhs, row.div_rhs_main,
                    row.div_rhs_appendix, row.beta_t, row.gap_term, row.gamma) < 0:
                 nonneg_ok, nonneg_where = False, f"{trace} t={row.t}"
-            if row.n1 < 0 or row.n2 < 0 or row.n1 + row.n2 != n:
+            if row.n1 < 0 or row.n2 < 0 or row.n1 + row.n2 != config.sim.n:
                 counts_ok, counts_where = False, f"{trace} t={row.t}"
-            if eta(row.t) <= 1.0 and row.div_rhs_appendix < row.div_rhs_main:
+            if config.sim.eta(row.t) <= 1.0 and row.div_rhs_appendix < row.div_rhs_main:
                 order_ok, order_where = False, f"{trace} t={row.t}"
             if row.n2 == 0 and row.div_lhs > 1e-12:
                 zero_gap_ok, zero_where = False, f"{trace} t={row.t}"

@@ -2,14 +2,17 @@
 
 A config file is one JSON object with optional sections; every knob has a
 default, unknown keys are rejected, and error messages name the offending
-field so a bad file fails loudly.
+field so a bad file fails loudly.  The config dataclasses are the schema:
+a section's keys are its dataclass's fields, each cast by its declared type.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from functools import cache, partial
+from typing import get_type_hints
 
 from .accessibility import ChurnConfig
 from .dataparts import PartitionConfig, partition, synthetic_blobs
@@ -46,29 +49,25 @@ class SuiteSpec:
     target_curvature: float | None = 0.9
     gamma_weights: str = "data"
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("ridge", "softmax"):
+            raise ValueError(f"unknown objective kind {self.kind!r}")
+        if self.gamma_weights not in ("data", "uniform"):
+            raise ValueError(f"unknown gamma_weights {self.gamma_weights!r}")
+        for name, low in (("classes", 2), ("dim", 1), ("total", self.classes)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}")
+        for name in ("separation", "reg", "target_curvature"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive")
+
 
 @dataclass(frozen=True)
 class RunConfig:
     sim: SimConfig
     partition: PartitionConfig
     suite: SuiteSpec
-
-
-def _section(raw: dict, name: str, allowed: dict) -> dict:
-    """Validate one object section against {key: caster} and return kwargs.
-    ``name`` is the section's field name, or "" for the top level."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"field '{name}' must be an object")
-    out = {}
-    for key, value in raw.items():
-        field = f"{name}.{key}" if name else key
-        if key not in allowed:
-            raise ConfigError(f"unknown field '{field}'")
-        try:
-            out[allowed[key][1]] = allowed[key][0](value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"field '{field}': {exc}") from exc
-    return out
 
 
 def _float(v) -> float:
@@ -89,90 +88,91 @@ def _alpha(v) -> float:
     return _float(v)
 
 
-def _int(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"expected an integer, got {v!r}")
-    return v
+def _exactly(tp: type, what: str):
+    """A caster that accepts values of type ``tp`` itself, so that a
+    boolean is not an integer."""
 
+    def cast(v):
+        if type(v) is not tp:
+            raise ValueError(f"expected {what}, got {v!r}")
+        return v
 
-def _bool(v) -> bool:
-    if not isinstance(v, bool):
-        raise ValueError(f"expected a boolean, got {v!r}")
-    return v
-
-
-def _str(v) -> str:
-    if not isinstance(v, str):
-        raise ValueError(f"expected a string, got {v!r}")
-    return v
+    return cast
 
 
 def _eta(raw) -> EtaSchedule:
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         return EtaSchedule("constant", _float(raw))
     if isinstance(raw, dict):
-        kwargs = _section(raw, "eta", {"kind": (_str, "kind"), "eta0": (_float, "eta0")})
-        return EtaSchedule(**kwargs)
+        return _section(raw, "eta", EtaSchedule)
     raise ValueError("eta must be a number or an object with kind/eta0")
 
 
-_TOP_KEYS = {
-    "n": (_int, "n"),
-    "rounds": (_int, "rounds"),
-    "eta": (_eta, "eta"),
-    "local_epochs": (_int, "local_epochs"),
-    "batch_size": (_int, "batch_size"),
-    "seed": (_int, "seed"),
-    "offline_training": (_bool, "offline_training"),
-    "deemphasis": (_float, "deemphasis"),
-    "wtilde_mode": (_str, "wtilde_mode"),
-    "init_scale": (_float, "init_scale"),
+# The caster of each declared field type; a field whose type is another
+# config dataclass is a nested section.
+_CASTS = {
+    int: _exactly(int, "an integer"),
+    float: _float,
+    bool: _exactly(bool, "a boolean"),
+    str: _exactly(str, "a string"),
+    float | None: lambda v: None if v is None else _float(v),
+    EtaSchedule: _eta,
 }
+# The two exceptions, each keyed by (section, field name): churn's rate is
+# "lambda" in config files, and partition.alpha may also be infinite.
+_FILE_KEYS = {("churn", "rate"): "lambda"}
+_SPECIAL_CASTS = {("partition", "alpha"): _alpha}
 
-_MOBILITY_KEYS = {
-    k: (_float, k)
-    for k in ("area_width", "area_height", "speed_min", "speed_max", "pause", "radius", "step")
-}
 
-_CHURN_KEYS = {"dropout_p": (_float, "dropout_p"), "lambda": (_float, "rate")}
+@cache
+def _schema(name: str, cls) -> dict:
+    """{config-file key: (field name, caster)} for the dataclass ``cls``
+    read as section ``name``."""
+    hints = get_type_hints(cls)
+    schema = {}
+    for f in fields(cls):
+        key = _FILE_KEYS.get((name, f.name), f.name)
+        cast = _SPECIAL_CASTS.get((name, f.name)) or _CASTS.get(hints[f.name])
+        if cast is None:
+            cast = partial(_section, name=f"{name}.{key}" if name else key, cls=hints[f.name])
+        schema[key] = (f.name, cast)
+    return schema
 
-_PARTITION_KEYS = {
-    "scheme": (_str, "scheme"),
-    "alpha": (_alpha, "alpha"),
-    "per_node": (_int, "per_node"),
-}
 
-_SUITE_KEYS = {
-    "kind": (_str, "kind"),
-    "classes": (_int, "classes"),
-    "dim": (_int, "dim"),
-    "total": (_int, "total"),
-    "separation": (_float, "separation"),
-    "reg": (_float, "reg"),
-    "target_curvature": (lambda v: None if v is None else _float(v), "target_curvature"),
-    "gamma_weights": (_str, "gamma_weights"),
-}
+def _section(raw: dict, name: str, cls):
+    """Build the dataclass ``cls`` from the object section ``raw``.  ``name``
+    is the section's field name, or "" for the top level."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"field '{name}' must be an object")
+    schema = _schema(name, cls)
+    kwargs = {}
+    for key, value in raw.items():
+        field = f"{name}.{key}" if name else key
+        if key not in schema:
+            raise ConfigError(f"unknown field '{field}'")
+        attr, cast = schema[key]
+        try:
+            kwargs[attr] = cast(value)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"field '{field}': {exc}") from exc
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"field '{name}': {exc}" if name else str(exc)) from exc
 
 
 def run_config_from_dict(raw: dict) -> RunConfig:
     """Build a validated RunConfig from a parsed JSON object."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    sections = ("mobility", "churn", "partition", "suite")
-    top = _section({k: v for k, v in raw.items() if k not in sections}, "", _TOP_KEYS)
-    try:
-        mobility = MobilityConfig(**_section(raw.get("mobility", {}), "mobility", _MOBILITY_KEYS))
-        churn = ChurnConfig(**_section(raw.get("churn", {}), "churn", _CHURN_KEYS))
-        part = PartitionConfig(**_section(raw.get("partition", {}), "partition", _PARTITION_KEYS))
-        suite = SuiteSpec(**_section(raw.get("suite", {}), "suite", _SUITE_KEYS))
-        sim = SimConfig(mobility=mobility, churn=churn, **top)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if suite.kind not in ("ridge", "softmax"):
-        raise ConfigError(f"field 'suite.kind': unknown objective kind {suite.kind!r}")
-    return RunConfig(sim=sim, partition=part, suite=suite)
+    top = {k: v for k, v in raw.items() if k not in ("partition", "suite")}
+    return RunConfig(
+        sim=_section(top, "", SimConfig),
+        partition=_section(raw.get("partition", {}), "partition", PartitionConfig),
+        suite=_section(raw.get("suite", {}), "suite", SuiteSpec),
+    )
 
 
 def load_run_config(path) -> RunConfig:
@@ -189,14 +189,15 @@ def load_run_config(path) -> RunConfig:
 
 def run_config_to_dict(config: RunConfig) -> dict:
     """Canonical echo of a config (what the manifest records): the
-    dataclass fields, with churn's ``rate`` under its config-file name
-    ``lambda`` and an infinite ``alpha`` written as ``"inf"``."""
+    dataclass fields under their config-file names, with an infinite
+    ``alpha`` written as ``"inf"``."""
     echo = asdict(config.sim)
-    echo["churn"]["lambda"] = echo["churn"].pop("rate")
     echo["partition"] = asdict(config.partition)
+    echo["suite"] = asdict(config.suite)
+    for (section, name), key in _FILE_KEYS.items():
+        echo[section][key] = echo[section].pop(name)
     if math.isinf(config.partition.alpha):
         echo["partition"]["alpha"] = "inf"
-    echo["suite"] = asdict(config.suite)
     return echo
 
 
@@ -209,10 +210,9 @@ def build_problem_suite(config: RunConfig) -> ProblemSuite:
         spec.classes, spec.dim, spec.total, spec.separation, streams["data"]
     )
     shards = partition(dataset, config.sim.n, config.partition, streams["partition"])
-    targets = dataset.targets if spec.kind == "softmax" else dataset.targets.astype(float)
     return build_suite(
         dataset.features,
-        targets,
+        dataset.targets,
         shards,
         kind=spec.kind,
         reg=spec.reg,

@@ -98,6 +98,8 @@ class SimConfig:
             raise ValueError("local_epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not 0.0 <= self.deemphasis <= 1.0:
             raise ValueError("deemphasis must lie in [0, 1]")
         if self.wtilde_mode not in ("literal", "weighted"):

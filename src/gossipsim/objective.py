@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -434,7 +434,6 @@ class ProblemSuite:
     gamma: float
     grad_bound_sq: float
     gamma_weights: str = "data"
-    meta: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:

@@ -453,3 +453,90 @@ def test_module_entrypoint_runs(child_env):
     )
     assert proc.returncode == 0
     assert "gossipsim" in proc.stdout
+
+
+@pytest.mark.parametrize("values, seeds", [
+    ("0.1,0.10", "1"),  # one value written twice
+    ("0.1", "1,1"),  # one seed given twice
+    ("0.1,0.1000001", "1"),  # distinct values that share the label 0.1
+])
+def test_sweep_rejects_duplicate_runs(tmp_path, capsys, values, seeds):
+    cfg = _write_config(tmp_path, SMALL)
+    code = main(["sweep", "--config", cfg, "--axis", "dropout_p", "--values", values,
+                 "--seeds", seeds, "--jobs", "2", "--out", str(tmp_path / "s")])
+    assert code == EXIT_USAGE
+    assert "must be distinct" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("argv, patch", [
+    (["run", "--seed", "-1"], {}),
+    (["run"], {"seed": -1}),
+    (["sweep", "--axis", "dropout_p", "--values", "0", "--seeds", "-1"], {}),
+])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, argv, patch):
+    cfg = _write_config(tmp_path, dict(SMALL, **patch))
+    code = main(argv + ["--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("patch, key", [
+    ({"kind": "svm"}, "kind"),
+    ({"reg": -1}, "reg"),
+    ({"classes": 1}, "classes"),
+    ({"gamma_weights": "foo"}, "gamma_weights"),
+    ({"total": 2}, "total"),
+    ({"dim": 0}, "dim"),
+    ({"separation": 0}, "separation"),
+    ({"target_curvature": -1}, "target_curvature"),
+])
+def test_run_rejects_a_bad_suite_section(tmp_path, capsys, patch, key):
+    cfg = _write_config(tmp_path, dict(SMALL, suite=dict(SMALL["suite"], **patch)))
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "field 'suite'" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("axis, values, field", [
+    ("lambda", "nan", "churn.lambda"),
+    ("eta", "inf", "eta.eta0"),
+    ("alpha", "1,-inf", "partition.alpha"),
+    ("dropout_p", "0,2", "field 'churn': dropout_p"),
+    ("deemphasis", "1.5", "deemphasis must lie in [0, 1]"),
+])
+def test_sweep_values_are_validated_like_file_values(tmp_path, capsys, axis, values, field):
+    cfg = _write_config(tmp_path, SMALL)
+    code = main(["sweep", "--config", cfg, "--axis", axis,
+                 "--values", values, "--seeds", "1", "--out", str(tmp_path / "s")])
+    assert code == EXIT_USAGE
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def _drop_churn_lambda(config):
+    del config["churn"]["lambda"]
+
+
+def _zero_nodes(config):
+    config["n"] = 0
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (_drop_churn_lambda, "not a canonical echo"),
+    (_zero_nodes, "n must be at least 1"),
+])
+def test_check_parses_the_manifest_config_like_a_config_file(tmp_path, capsys, edit, reason):
+    cfg = _write_config(tmp_path, SMALL)
+    out = tmp_path / "run"
+    main(["run", "--config", cfg, "--out", str(out)])
+    manifest = _edit_manifest(out, lambda m: edit(m["config"]))
+    capsys.readouterr()
+    assert main(["check", "--out", str(out)]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"check error: {manifest}: ")
+    assert reason in captured.err

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from gossipsim.diagnostics import (
     read_trace_csv,
     write_trace_csv,
 )
+from gossipsim.config import build_problem_suite, run_config_from_dict
 from gossipsim.objective import NodeProblem, build_suite, local_gradient
 from oracles import gap_bound_loop
 
@@ -162,6 +165,29 @@ def test_property_gradient_gap_bound_matches_node_loop(n, d, seed, smooth, eta):
     got = gradient_gap_bound(models, mask, smooth, eta)
     want = gap_bound_loop(models, mask, smooth, eta)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+@cache
+def _smoothness_suite(kind, curvature, n):
+    return build_problem_suite(run_config_from_dict({
+        "n": n, "partition": {"alpha": 1.0},
+        "suite": {"kind": kind, "classes": 3, "dim": 3, "total": 60,
+                  "target_curvature": curvature},
+    }))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["ridge", "softmax"]), curvature=st.sampled_from([0.9, None]),
+       n=st.sampled_from([3, 7]), seed=st.integers(0, 2**32 - 1))
+def test_property_gradient_gap_within_smoothness_bound(kind, curvature, n, seed):
+    # L-smoothness of every node gives ||grad f_i(a) - grad f_i(b)|| <= L ||a - b||,
+    # so the gap is at most (L / n) * bracket: the main bound at eta = 1.
+    suite = _smoothness_suite(kind, curvature, n)
+    rng = np.random.default_rng(seed)
+    models = rng.normal(scale=rng.uniform(0.01, 10.0), size=(n, suite.dimension))
+    mask = rng.random(n) < rng.random()
+    lipschitz, _ = gap_bound_loop(models, mask, suite.L, 1.0)
+    assert gradient_gap(models, mask, suite) <= lipschitz * (1 + 1e-9) + 1e-12
 
 
 def test_convergence_terms_alpha_identity():
