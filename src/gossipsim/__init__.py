@@ -78,5 +78,4 @@ from .objective import (
     local_loss,
     local_optimum,
     suite_digest,
-    suite_to_json,
 )

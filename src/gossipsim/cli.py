@@ -71,9 +71,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _run_one(config: RunConfig, out_dir: Path) -> dict:
-    """Build the suite, simulate, write trace.csv and manifest.json."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Build the suite, simulate, write trace.csv and manifest.json.  The
+    output directory is made only once the suite is built."""
     suite = build_problem_suite(config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows = run_simulation(config.sim, suite)
     _atomic_write(out_dir / "trace.csv", lambda p: write_trace_csv(p, rows))
     manifest = {
@@ -87,11 +88,23 @@ def _run_one(config: RunConfig, out_dir: Path) -> dict:
     return manifest
 
 
+def _check_samples(config: RunConfig) -> None:
+    """Raise ConfigError unless ``suite.total`` gives every node a shard:
+    one sample each, or ``per_node`` each under the i.i.d. scheme.  Not
+    part of parsing: a config that never builds a suite may have fewer."""
+    part, n, total = config.partition, config.sim.n, config.suite.total
+    iid = part.scheme == "iid" or math.isinf(part.alpha)
+    need = n * part.per_node if iid and part.per_node else n
+    if total < need:
+        raise ConfigError(f"suite.total {total} is too small: {n} nodes need at least {need} samples")
+
+
 def cmd_run(config_path: str, out_dir: str, seed=None) -> int:
     try:
         config = load_run_config(config_path)
         if seed is not None:
             config = spawn_seeded(config, seed)
+        _check_samples(config)
     except ValueError as exc:  # ConfigError, or a --seed out of range
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -158,6 +171,7 @@ def cmd_sweep(config_path, axis, values, seeds, out_dir, jobs=None) -> int:
         for value, label in zip(values, labels):
             for seed in seeds:
                 config = _apply_axis(spawn_seeded(base, seed), axis, value)
+                _check_samples(config)
                 run_dir = out / "runs" / f"{axis}={label}" / f"seed={seed}"
                 tasks.append((config, label, str(run_dir)))
         source = "--jobs"

@@ -139,7 +139,7 @@ def _stratified(labels: np.ndarray, n: int, per_node: int, rng: np.random.Genera
     class_quota = _largest_remainder(counts.astype(float), draw_total)
 
     pools = {c: rng.permutation(np.flatnonzero(labels == c)) for c in classes}
-    shards = [[] for _ in range(n)]
+    dealt = []
     base = class_quota // n
     cursor = 0
     for k, c in enumerate(classes):
@@ -147,11 +147,8 @@ def _stratified(labels: np.ndarray, n: int, per_node: int, rng: np.random.Genera
         for r in range(class_quota[k] - base[k] * n):
             take[(cursor + r) % n] += 1
         cursor += class_quota[k] - base[k] * n
-        offset = 0
-        for i in range(n):
-            shards[i].extend(pools[c][offset : offset + take[i]])
-            offset += take[i]
-    return [np.sort(np.asarray(s, dtype=int)) for s in shards]
+        dealt.append(np.split(pools[c][: class_quota[k]], np.cumsum(take)[:-1]))
+    return [np.sort(np.concatenate(parts)) for parts in zip(*dealt)]
 
 
 def _dirichlet(labels: np.ndarray, n: int, alpha: float, rng: np.random.Generator, cap: int = 100):
@@ -161,16 +158,13 @@ def _dirichlet(labels: np.ndarray, n: int, alpha: float, rng: np.random.Generato
     classes, counts = np.unique(labels, return_counts=True)
     pools = {c: rng.permutation(np.flatnonzero(labels == c)) for c in classes}
     for _ in range(cap):
-        shards = [[] for _ in range(n)]
+        dealt = []
         for k, c in enumerate(classes):
-            props = rng.dirichlet(np.full(n, alpha))
-            take = _largest_remainder(props, counts[k])
-            offset = 0
-            for i in range(n):
-                shards[i].extend(pools[c][offset : offset + take[i]])
-                offset += take[i]
-        if all(len(s) >= 1 for s in shards):
-            return [np.sort(np.asarray(s, dtype=int)) for s in shards]
+            take = _largest_remainder(rng.dirichlet(np.full(n, alpha)), counts[k])
+            dealt.append(np.split(pools[c], np.cumsum(take)[:-1]))
+        shards = [np.concatenate(parts) for parts in zip(*dealt)]
+        if all(s.size >= 1 for s in shards):
+            return [np.sort(s) for s in shards]
     raise DegeneratePartitionError(
         f"could not give every one of {n} nodes a sample within {cap} draws"
     )

@@ -6,9 +6,12 @@ with constant ``reg`` exactly:
 * ridge:   F_i(w) = ||X_i w - y_i||^2 / (2 m_i) + reg/2 ||w||^2
 * softmax: F_i(w) = mean cross-entropy of a linear classifier + reg/2 ||w||^2
 
-For softmax the parameter vector is the (n_classes, d) weight matrix
-flattened row-major.  The suite builder also computes smoothness and
-strong-convexity constants, the exact global optimum, per-node optima,
+Both are linear models with outputs z = W x, where the parameter vector
+is W flattened row-major: one row for ridge, one per class for softmax.
+A family is only its per-sample loss of z and that loss's derivative
+(:func:`_sample_loss`, :func:`_sample_dloss`); every loss and gradient is
+written once on top of them.  The suite builder also computes smoothness
+and strong-convexity constants, the exact global optimum, per-node optima,
 the data-heterogeneity gap, and an empirical bound on squared stochastic
 gradient norms.
 
@@ -23,7 +26,6 @@ are the per-node reference the pooled functions are tested against.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,7 +51,6 @@ __all__ = [
     "heterogeneity_gap",
     "grad_bound_estimate",
     "build_suite",
-    "suite_to_json",
     "suite_digest",
 ]
 
@@ -58,8 +59,9 @@ __all__ = [
 class NodeProblem:
     """One node's shard plus the objective it defines.
 
-    ``targets`` holds real values for ridge and integer class indices for
-    softmax.  ``n_classes`` is only meaningful for softmax.
+    ``targets`` is stored as real values for ridge and as integer class
+    indices in ``[0, n_classes)`` for softmax; ``n_classes`` is only
+    meaningful for softmax.
     """
 
     features: np.ndarray
@@ -73,28 +75,39 @@ class NodeProblem:
             raise ValueError(f"unknown objective kind {self.kind!r}")
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ValueError("features must be a nonempty (m, d) matrix")
-        if self.targets.shape[0] != self.features.shape[0]:
-            raise ValueError("targets length must match sample count")
         if self.reg <= 0:
             raise ValueError("reg must be positive for strong convexity")
-        if self.kind == "softmax" and self.n_classes < 2:
+        labels = self.kind == "softmax"
+        if labels and self.n_classes < 2:
             raise ValueError("softmax needs n_classes >= 2")
+        if labels and not np.isin(self.targets, np.arange(self.n_classes)).all():
+            raise ValueError(f"softmax labels must be integers in [0, {self.n_classes})")
+        targets = np.asarray(self.targets, int if labels else float)
+        if targets is not self.targets:  # a frozen field write costs more than this test
+            object.__setattr__(self, "targets", targets)
+        if targets.shape != self.features.shape[:1]:
+            raise ValueError("targets length must match sample count")
 
     @property
     def m(self) -> int:
         return self.features.shape[0]
 
-    @property
+    @cached_property
+    def outputs(self) -> int:
+        """Rows of the weight matrix: 1 for ridge, n_classes for softmax."""
+        return self.n_classes if self.kind == "softmax" else 1
+
+    @cached_property
     def dim(self) -> int:
-        d = self.features.shape[1]
-        return d * self.n_classes if self.kind == "softmax" else d
+        return self.features.shape[1] * self.outputs
 
 
-def _check_dim(p: NodeProblem, w: np.ndarray) -> np.ndarray:
+def _weights(p: NodeProblem, w) -> np.ndarray:
+    """The (outputs, d) weight matrix of a flat parameter vector."""
     w = np.asarray(w, dtype=float)
     if w.shape != (p.dim,):
         raise ValueError(f"parameter has dimension {w.shape}, expected ({p.dim},)")
-    return w
+    return w.reshape(p.outputs, -1)
 
 
 def _batch_rows(p: NodeProblem, batch):
@@ -106,69 +119,67 @@ def _batch_rows(p: NodeProblem, batch):
     return idx
 
 
-def _softmax_probs(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _sample_loss(kind: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Loss of each sample's outputs ``z[j]`` against its target ``y[j]``:
+    half the squared residual for ridge, the cross-entropy of the logits
+    for softmax."""
+    if kind == "ridge":
+        resid = z[:, 0] - y
+        return 0.5 * resid * resid
+    top = z.max(axis=1)
+    log_z = np.log(np.exp(z - top[:, None]).sum(axis=1)) + top
+    return log_z - z[np.arange(y.size), y]
+
+
+def _sample_dloss(kind: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Derivative of :func:`_sample_loss` with respect to ``z``: the
+    residual for ridge, the softmax probabilities minus the one-hot
+    target for softmax."""
+    if kind == "ridge":
+        return z - y[:, None]
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    dz = e / e.sum(axis=1, keepdims=True)
+    dz[np.arange(y.size), y] -= 1.0
+    return dz
 
 
 def local_loss(p: NodeProblem, w) -> float:
     """Value of node loss at ``w`` (full shard)."""
-    w = _check_dim(p, w)
-    if p.kind == "ridge":
-        resid = p.features @ w - p.targets
-        return float(resid @ resid / (2.0 * p.m) + 0.5 * p.reg * (w @ w))
-    mat = w.reshape(p.n_classes, -1)
-    logits = p.features @ mat.T
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-    picked = logits[np.arange(p.m), p.targets.astype(int)]
-    return float(np.mean(log_z - picked) + 0.5 * p.reg * (w @ w))
+    mat = _weights(p, w)
+    per_sample = _sample_loss(p.kind, p.features @ mat.T, p.targets)
+    return float(per_sample.sum() / p.m + 0.5 * p.reg * np.vdot(mat, mat))
 
 
 def local_gradient(p: NodeProblem, w, batch=None) -> np.ndarray:
     """Mini-batch gradient of the node loss; full-batch when ``batch`` is
     None.  An empty batch is rejected."""
-    w = _check_dim(p, w)
+    mat = _weights(p, w)
     rows = _batch_rows(p, batch)
     x = p.features[rows]
-    if p.kind == "ridge":
-        resid = x @ w - p.targets[rows]
-        return x.T @ resid / rows.size + p.reg * w
-    mat = w.reshape(p.n_classes, -1)
-    probs = _softmax_probs(x @ mat.T)
-    probs[np.arange(rows.size), p.targets[rows].astype(int)] -= 1.0
-    grad = probs.T @ x / rows.size + p.reg * mat
-    return grad.ravel()
+    # np.dot: less call overhead than @ on the small batches of local SGD
+    dz = _sample_dloss(p.kind, np.dot(x, mat.T), p.targets[rows])
+    return (np.dot(dz.T, x) / rows.size + p.reg * mat).ravel()
 
 
 def local_accuracy(p: NodeProblem, w) -> float:
     """Fraction of the node's own samples classified correctly (softmax)."""
     if p.kind != "softmax":
         raise ValueError("accuracy is defined for softmax problems only")
-    w = _check_dim(p, w)
-    pred = (p.features @ w.reshape(p.n_classes, -1).T).argmax(axis=1)
-    return float(np.mean(pred == p.targets.astype(int)))
+    pred = (p.features @ _weights(p, w).T).argmax(axis=1)
+    return float(np.mean(pred == p.targets))
 
 
 def per_sample_grad_sq_norms(p: NodeProblem, w) -> np.ndarray:
     """Squared gradient norm of every single-sample batch at ``w``."""
-    w = _check_dim(p, w)
+    mat = _weights(p, w)
     x = p.features
-    if p.kind == "ridge":
-        xw = x @ w
-        resid = xw - p.targets
-        # grad_j = resid_j * x_j + reg * w
-        xx = np.einsum("ij,ij->i", x, x)
-        return resid**2 * xx + 2.0 * p.reg * resid * xw + p.reg**2 * (w @ w)
-    mat = w.reshape(p.n_classes, -1)
-    a = _softmax_probs(x @ mat.T)
-    a[np.arange(p.m), p.targets.astype(int)] -= 1.0
-    # grad_j = outer(a_j, x_j) + reg * mat
-    aa = np.einsum("ij,ij->i", a, a)
+    z = x @ mat.T
+    dz = _sample_dloss(p.kind, z, p.targets)
+    # grad_j = outer(dz_j, x_j) + reg * W and <outer(dz_j, x_j), W> = dz_j . z_j, so
+    # |grad_j|^2 = dz_j . (dz_j |x_j|^2 + 2 reg z_j) + reg^2 |W|^2
     xx = np.einsum("ij,ij->i", x, x)
-    cross = np.einsum("jk,kd,jd->j", a, mat, x)
-    return aa * xx + 2.0 * p.reg * cross + p.reg**2 * (w @ w)
+    data_terms = np.einsum("ij,ij->i", dz, dz * xx[:, None] + 2.0 * p.reg * z)
+    return data_terms + p.reg**2 * np.vdot(mat, mat)
 
 
 @dataclass(frozen=True)
@@ -201,14 +212,9 @@ def pool_shards(problems) -> PooledShards:
     if any((p.kind, p.reg, p.n_classes, p.features.shape[1]) != shape for p in problems):
         raise ValueError("pooled shards must share kind, reg, class count and feature width")
     sizes = np.array([p.m for p in problems])
-    targets = np.concatenate([p.targets for p in problems])
-    whole = NodeProblem(
-        np.concatenate([p.features for p in problems]),
-        targets if first.kind == "ridge" else targets.astype(int),
-        reg=first.reg,
-        kind=first.kind,
-        n_classes=first.n_classes,
-    )
+    whole = NodeProblem(np.concatenate([p.features for p in problems]),
+                        np.concatenate([p.targets for p in problems]),
+                        reg=first.reg, kind=first.kind, n_classes=first.n_classes)
     return PooledShards(whole, sizes, np.concatenate(([0], np.cumsum(sizes[:-1]))))
 
 
@@ -233,14 +239,8 @@ def _model_stack(pool: PooledShards, models) -> tuple[np.ndarray, bool]:
 
 def _mean_shard_loss(pool: PooledShards, w: np.ndarray) -> float:
     p = pool.whole
-    if p.kind == "ridge":
-        resid = p.features @ w - p.targets
-        per_sample = 0.5 * resid * resid
-    else:
-        logits = p.features @ w.reshape(p.n_classes, -1).T
-        top = logits.max(axis=1)
-        log_z = np.log(np.exp(logits - top[:, None]).sum(axis=1)) + top
-        per_sample = log_z - logits[np.arange(p.m), p.targets]
+    mat = w.reshape(p.outputs, -1)
+    per_sample = _sample_loss(p.kind, p.features @ mat.T, p.targets)
     shard_means = np.add.reduceat(per_sample, pool.offsets) / pool.sizes
     return float(shard_means.mean() + 0.5 * p.reg * (w @ w))
 
@@ -248,8 +248,9 @@ def _mean_shard_loss(pool: PooledShards, w: np.ndarray) -> float:
 def global_loss(problems, models):
     """Unweighted mean of the node losses (the network objective).
 
-    ``problems`` is a ProblemSuite or a sequence of node problems.  ``models`` is one (d,) model, giving a float, or a (k, d)
-    stack, giving an array of k values.
+    ``problems`` is a ProblemSuite or a sequence of node problems.
+    ``models`` is one (d,) model, giving a float, or a (k, d) stack,
+    giving an array of k values.
     """
     pool = _pooled(problems)
     stack, single = _model_stack(pool, models)
@@ -275,17 +276,11 @@ def node_mean_gradient(problems, points) -> np.ndarray:
     if points.shape != (pool.n, p.dim):
         raise ValueError(f"points have shape {points.shape}, expected ({pool.n}, {p.dim})")
     # every sample is evaluated at its own node's point, weighted 1/(n m_i)
-    at = np.repeat(points, pool.sizes, axis=0)
+    mats = np.repeat(points, pool.sizes, axis=0).reshape(p.m, p.outputs, -1)
     weight = np.repeat(1.0 / (pool.n * pool.sizes), pool.sizes)
-    if p.kind == "ridge":
-        resid = np.einsum("sd,sd->s", p.features, at) - p.targets
-        grad = p.features.T @ (weight * resid)
-    else:
-        mats = at.reshape(p.m, p.n_classes, -1)
-        probs = _softmax_probs(np.einsum("sd,skd->sk", p.features, mats))
-        probs[np.arange(p.m), p.targets] -= 1.0
-        grad = ((weight[:, None] * probs).T @ p.features).ravel()
-    return grad + p.reg * points.mean(axis=0)
+    dz = _sample_dloss(p.kind, np.einsum("sd,skd->sk", p.features, mats), p.targets)
+    grad = (weight[:, None] * dz).T @ p.features
+    return grad.ravel() + p.reg * points.mean(axis=0)
 
 
 def _curvature(p: NodeProblem) -> float:
@@ -311,7 +306,6 @@ def constants(problems) -> tuple[float, float]:
 
 
 def global_gradient(problems, w) -> np.ndarray:
-    problems = list(problems)
     return np.mean([local_gradient(p, w) for p in problems], axis=0)
 
 
@@ -471,17 +465,12 @@ def build_suite(
     node_indices = [np.asarray(ix, dtype=int) for ix in node_indices]
     if any(ix.size == 0 for ix in node_indices):
         raise ValueError("every node needs at least one sample")
-
-    if kind == "ridge":
-        node_targets = targets.astype(float)
-    else:
-        node_targets = targets.astype(int)
-        if n_classes < 2:
-            n_classes = int(node_targets.max()) + 1
+    if kind == "softmax" and n_classes < 2:
+        n_classes = int(targets.max()) + 1
 
     def make_problems(feats):
         return [
-            NodeProblem(feats[ix], node_targets[ix], reg=reg, kind=kind, n_classes=n_classes)
+            NodeProblem(feats[ix], targets[ix], reg=reg, kind=kind, n_classes=n_classes)
             for ix in node_indices
         ]
 
@@ -512,42 +501,17 @@ def build_suite(
     )
 
 
-def _fmt_array(a: np.ndarray) -> list:
-    return [format(v, ".17g") for v in np.asarray(a, dtype=float).ravel()]
-
-
-def suite_to_json(suite: ProblemSuite) -> str:
-    """Serialize a suite to JSON with 17 significant digits, matrices
-    row-major, for reproducible fixtures."""
-    payload = {
-        "kind": suite.kind,
-        "dimension": suite.dimension,
-        "reg": format(suite.problems[0].reg, ".17g"),
-        "n_classes": suite.problems[0].n_classes,
-        "L": format(suite.L, ".17g"),
-        "mu": format(suite.mu, ".17g"),
-        "f_star": format(suite.f_star, ".17g"),
-        "gamma": format(suite.gamma, ".17g"),
-        "gamma_weights": suite.gamma_weights,
-        "grad_bound_sq": format(suite.grad_bound_sq, ".17g"),
-        "w_star": _fmt_array(suite.w_star),
-        "local_optima": [
-            {"w": _fmt_array(w), "value": format(v, ".17g")} for w, v in suite.local_optima
-        ],
-        "problems": [
-            {
-                "shape": list(p.features.shape),
-                "features": _fmt_array(p.features),
-                "targets": _fmt_array(p.targets)
-                if p.kind == "ridge"
-                else [int(t) for t in p.targets],
-            }
-            for p in suite.problems
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def suite_digest(suite: ProblemSuite) -> str:
-    """Content hash of the serialized suite (for run manifests)."""
-    return hashlib.sha256(suite_to_json(suite).encode()).hexdigest()
+    """Content hash of a suite (for run manifests): SHA-256 of its scalars,
+    then of each array's shape and little-endian float64 bytes."""
+    first = suite.problems[0]
+    scalars = (suite.kind, suite.dimension, first.reg, first.n_classes, suite.L, suite.mu,
+               suite.f_star, suite.gamma, suite.gamma_weights, suite.grad_bound_sq,
+               [v for _, v in suite.local_optima])
+    arrays = [suite.w_star] + [w for w, _ in suite.local_optima]
+    arrays += [a for p in suite.problems for a in (p.features, p.targets)]
+    h = hashlib.sha256(repr(scalars).encode())
+    for a in arrays:
+        h.update(repr(a.shape).encode())
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()

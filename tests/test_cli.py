@@ -540,3 +540,18 @@ def test_check_parses_the_manifest_config_like_a_config_file(tmp_path, capsys, e
     assert captured.out == ""
     assert captured.err.startswith(f"check error: {manifest}: ")
     assert reason in captured.err
+
+
+@pytest.mark.parametrize("patch, code, message", [
+    ({"suite": {"total": 13}}, EXIT_USAGE, "suite.total 13 is too small: 14 nodes"),
+    ({"partition": {"scheme": "iid", "per_node": 21}}, EXIT_USAGE, "need at least 294 samples"),
+    ({"partition": {"alpha": 0.01}, "suite": {"total": 14}}, EXIT_RUNTIME,
+     "could not give every one of 14 nodes a sample"),
+])
+def test_a_suite_that_cannot_be_built_writes_nothing(tmp_path, capsys, patch, code, message):
+    cfg = _write_config(tmp_path, patch)
+    out = tmp_path / "out"
+    for argv in (["run"], ["sweep", "--axis", "dropout_p", "--values", "0", "--seeds", "0"]):
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()

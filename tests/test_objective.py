@@ -1,7 +1,6 @@
 from __future__ import annotations
 
-import hashlib
-import json
+import dataclasses
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from gossipsim.objective import (
     local_optimum,
     per_sample_grad_sq_norms,
     suite_digest,
-    suite_to_json,
 )
 from oracles import numerical_gradient, ridge_loss_direct, softmax_loss_direct
 
@@ -289,16 +287,40 @@ def test_local_accuracy_perfect_for_separated_blobs():
     assert local_accuracy(p, w_opt) >= 0.99
 
 
-def test_suite_json_roundtrip_and_digest():
+def test_suite_digest_is_stable_and_sees_every_array():
     suite = _random_suite(np.random.default_rng(24), n=3, total=30)
-    text = suite_to_json(suite)
-    payload = json.loads(text)
-    assert payload["dimension"] == suite.dimension
-    # 17 significant digits round-trip every float exactly
-    assert float(payload["L"]) == suite.L
-    assert np.array_equal([float(v) for v in payload["w_star"]], suite.w_star)
-    m, d = payload["problems"][0]["shape"]
-    features = np.array([float(v) for v in payload["problems"][0]["features"]]).reshape(m, d)
-    assert np.array_equal(features, suite.problems[0].features)
-    assert suite_digest(suite) == hashlib.sha256(text.encode()).hexdigest()
-    assert suite_to_json(suite) == text
+    digest = suite_digest(suite)
+    assert suite_digest(_random_suite(np.random.default_rng(24), n=3, total=30)) == digest
+    first, second = suite.problems[:2]
+    assert first.m >= 2
+    nudged = first.features.copy()
+    nudged[0, 0] = np.nextafter(nudged[0, 0], np.inf)
+    # the last sample of shard 0 becomes the first of shard 1: the stacked
+    # feature and target bytes stay the same, only the shard shapes change
+    moved = [
+        dataclasses.replace(first, features=first.features[:-1], targets=first.targets[:-1]),
+        dataclasses.replace(second, features=np.vstack([first.features[-1:], second.features]),
+                            targets=np.concatenate([first.targets[-1:], second.targets])),
+    ]
+    w_star = suite.w_star.copy()
+    w_star[-1] = np.nextafter(w_star[-1], np.inf)
+    for changed in (
+        [dataclasses.replace(first, features=nudged)] + suite.problems[1:],
+        moved + suite.problems[2:],
+    ):
+        assert suite_digest(dataclasses.replace(suite, problems=changed)) != digest
+    assert suite_digest(dataclasses.replace(suite, w_star=w_star)) != digest
+
+
+def test_node_problem_types_its_targets():
+    soft = NodeProblem(np.ones((2, 2)), np.array([0.0, 2.0]), reg=0.1, kind="softmax", n_classes=3)
+    assert soft.targets.dtype.kind == "i" and soft.targets.tolist() == [0, 2]
+    assert (soft.outputs, soft.dim) == (3, 6)
+    ridge = NodeProblem(np.ones((2, 2)), np.array([1, 2]), reg=0.1)
+    assert ridge.targets.dtype == float and (ridge.outputs, ridge.dim) == (1, 2)
+
+
+@pytest.mark.parametrize("labels", [[0, -1], [0, 1.7], [0, 3], [0, np.nan]])
+def test_softmax_rejects_labels_outside_its_classes(labels):
+    with pytest.raises(ValueError, match=r"labels must be integers in \[0, 3\)"):
+        NodeProblem(np.ones((2, 2)), np.array(labels), reg=0.1, kind="softmax", n_classes=3)

@@ -7,6 +7,9 @@ stacked sample matrix.  Here they must agree with the per-node functions
 ``local_gradient`` on random shards of unequal sizes, including
 one-sample shards, for single models and model stacks.  Only the order
 of the floating-point sums differs, so the tolerance is 1e-12 relative.
+
+Both sides run the same per-sample kernel, so the losses of both are
+also held to the first-principles formulas of ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from gossipsim.objective import (
     per_sample_grad_sq_norms,
     pool_shards,
 )
+from oracles import ridge_loss_direct, softmax_loss_direct
 
 REL = 1e-12
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -74,6 +78,22 @@ def test_global_loss_is_mean_of_local_losses(case, k):
     assert global_loss(_suite(problems), stack).tolist() == got.tolist()
     single = global_loss(problems, stack[0])
     assert isinstance(single, float) and single == got[0]
+
+
+@SETTINGS
+@given(shards(), st.integers(1, 4))
+def test_losses_match_the_direct_oracles(case, k):
+    problems, rng = case
+
+    def direct(p, w):
+        if p.kind == "ridge":
+            return ridge_loss_direct(p.features, p.targets, p.reg, w)
+        return softmax_loss_direct(p.features, p.targets, p.reg, w, p.n_classes)
+
+    for w in rng.normal(size=(k, problems[0].dim)):
+        want = [direct(p, w) for p in problems]
+        np.testing.assert_allclose([local_loss(p, w) for p in problems], want, rtol=REL, atol=0)
+        assert global_loss(problems, w) == pytest.approx(np.mean(want), rel=REL, abs=0)
 
 
 @SETTINGS
