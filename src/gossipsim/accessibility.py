@@ -21,7 +21,11 @@ __all__ = [
     "absence_duration",
     "rounds_since_accessible",
     "accessible_mask",
+    "NEVER",
 ]
+
+# The rejoin round of an absence that outlasts int64: no run reaches it.
+NEVER = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -43,8 +47,8 @@ class ChurnConfig:
 @dataclass
 class AccessibilityState:
     """Per node, the round a dropped node rejoins (-1 while it is
-    accessible) and the last round it was accessible (-1 before the first
-    round)."""
+    accessible, :data:`NEVER` if it never does) and the last round it was
+    accessible (-1 before the first round)."""
 
     rejoin_at: np.ndarray
     last_accessible: np.ndarray
@@ -76,6 +80,14 @@ def absence_duration(rate: float, rng: np.random.Generator) -> float:
     return float(rng.exponential(1.0 / rate))
 
 
+def _rejoin_round(t: int, duration: float) -> int:
+    """``t + ceil(duration)``, saturated at :data:`NEVER` (an infinite
+    duration included)."""
+    if not duration < NEVER - t:
+        return NEVER
+    return t + math.ceil(duration)
+
+
 def step_accessibility(
     state: AccessibilityState, cfg: ChurnConfig, t: int, rng: np.random.Generator
 ) -> AccessibilityState:
@@ -85,8 +97,9 @@ def step_accessibility(
     every node that began the round accessible (a node that just rejoined
     is not eligible again until the next round) independently drops with
     probability ``dropout_p`` and is scheduled to rejoin after
-    ceil(Exp(rate)) whole rounds.  Finally ``last_accessible`` is stamped
-    for all nodes accessible at the end of the round.
+    ceil(Exp(rate)) whole rounds, or never if that round is past int64.
+    Finally ``last_accessible`` is stamped for all nodes accessible at the
+    end of the round.
     """
     out = state.copy()
     eligible = np.flatnonzero(state.accessible)
@@ -94,7 +107,7 @@ def step_accessibility(
     if cfg.dropout_p > 0.0:
         for i in eligible:
             if rng.random() < cfg.dropout_p:
-                out.rejoin_at[i] = t + math.ceil(absence_duration(cfg.rate, rng))
+                out.rejoin_at[i] = _rejoin_round(t, absence_duration(cfg.rate, rng))
     out.last_accessible[out.accessible] = t
     return out
 

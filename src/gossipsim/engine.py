@@ -1,6 +1,12 @@
 """Round orchestration: move nodes, update churn, mix models through the
 gossip matrix, run local SGD, and record per-round diagnostics.
 
+Local SGD runs every training node in lockstep: step s takes one
+mini-batch gradient of all the nodes that still have a batch at s, over
+the suite's pooled shards (the stacked-model update of Koloskova et al.,
+ICML 2020).  The permutations are drawn node by node exactly as a
+per-node loop draws them, so the models match that loop up to rounding.
+
 A simulation is one logical thread owning its state and RNG streams, so
 sweeps can run many simulations in parallel processes without sharing.
 """
@@ -32,11 +38,12 @@ from .diagnostics import (
 from .gossip import GossipMatrix, active_nodes, build_gossip_matrix, deemphasize_rejoined, gossip_average
 from .mobility import MobilityConfig, MobilityState, connectivity, init_mobility, step_mobility
 from .objective import (
+    PooledShards,
     ProblemSuite,
     global_accuracy,
     global_loss,
     grad_bound_estimate,
-    local_gradient,
+    lockstep_gradient,
 )
 
 __all__ = [
@@ -156,15 +163,63 @@ def init_state(cfg: SimConfig, suite: ProblemSuite, streams: dict) -> SimState:
     )
 
 
-def _local_sgd(problem, w: np.ndarray, eta: float, epochs: int, batch_size: int, rng) -> np.ndarray:
-    """``epochs`` shuffled passes of mini-batch SGD over one shard."""
-    w = w.copy()
-    for _ in range(epochs):
-        order = rng.permutation(problem.m)
-        for start in range(0, problem.m, batch_size):
-            batch = order[start : start + batch_size]
-            w -= eta * local_gradient(problem, w, batch)
-    return w
+# the per-step gradient, under the name the benchmark's tracer wraps
+local_gradient = lockstep_gradient
+
+
+def _lockstep_batches(pool: PooledShards, nodes: np.ndarray, epochs: int, batch_size: int, rng):
+    """Every node's mini-batches laid out as lockstep steps.
+
+    Node i draws a permutation of its m_i samples once per epoch, nodes in
+    the order given, and its epoch e, position j sample lands in step
+    ``e * ceil(m_i / B) + j // B`` at slot ``j % B``.  Nodes are ranked by
+    step count, most first, so the nodes with a batch at step s are ranks
+    ``0 .. active[s] - 1``.  Returns ``(ranked, active, rows, counts)``:
+    the nodes in rank order, and per step s its batches ``rows[s]``, an
+    (active[s], width) array of pooled row indices whose padding slots
+    hold row 0, and ``counts[s]``, each batch's true size.
+    """
+    sizes = pool.sizes[nodes]
+    width = min(batch_size, int(sizes.max()))
+    per_epoch = -(-sizes // batch_size)
+    steps = epochs * per_epoch
+    rank_order = np.argsort(-steps, kind="stable")
+    rank = np.empty_like(rank_order)
+    rank[rank_order] = np.arange(nodes.size)
+    active = nodes.size - np.cumsum(np.bincount(steps))[:-1]
+    # one block of draws per node and epoch, node-major; sample by sample,
+    # its node, epoch and position j within the epoch
+    block_len = np.repeat(sizes, epochs)
+    block_end = np.cumsum(block_len)
+    block_start = block_end - block_len
+    owner, epoch = np.divmod(np.repeat(np.arange(block_len.size), block_len), epochs)
+    j = np.arange(block_end[-1]) - np.repeat(block_start, block_len)
+    # shuffling each block's arange in place draws what rng.permutation(m_i)
+    # draws, without its per-call array set-up
+    perms = j.copy()
+    for a, b in zip(block_start.tolist(), block_end.tolist()):
+        rng.shuffle(perms[a:b])
+    step = epoch * per_epoch[owner] + j // batch_size
+    batch_at = np.concatenate(([0], np.cumsum(active)))
+    cell = batch_at[step] + rank[owner]
+    flat = np.zeros(batch_at[-1] * width, dtype=np.intp)
+    flat[cell * width + j % batch_size] = perms + pool.offsets[nodes][owner]
+    counts = np.bincount(cell, minlength=batch_at[-1])
+    spans = list(zip(batch_at[:-1].tolist(), batch_at[1:].tolist()))
+    rows = [flat[a * width : b * width].reshape(-1, width) for a, b in spans]
+    return nodes[rank_order], active.tolist(), rows, [counts[a:b] for a, b in spans]
+
+
+def _lockstep_sgd(models: np.ndarray, pool: PooledShards, nodes: np.ndarray, eta: float,
+                  epochs: int, batch_size: int, rng) -> None:
+    """``epochs`` shuffled passes of mini-batch SGD over each listed
+    node's shard, all nodes in lockstep, updating ``models[nodes]`` in
+    place.  A node with no batch left at a step is not touched."""
+    ranked, active, rows, counts = _lockstep_batches(pool, nodes, epochs, batch_size, rng)
+    mats = models[ranked].reshape(ranked.size, pool.whole.outputs, -1)
+    for k, step_rows, step_counts in zip(active, rows, counts):
+        mats[:k] -= eta * local_gradient(pool, mats[:k], step_rows, step_counts)
+    models[ranked] = mats.reshape(ranked.size, -1)
 
 
 def advance_round(state: SimState, suite: ProblemSuite, cfg: SimConfig, streams: dict) -> RoundResult:
@@ -193,12 +248,10 @@ def advance_round(state: SimState, suite: ProblemSuite, cfg: SimConfig, streams:
     models_half = gossip_average(models_before, matrix)
 
     models_next = models_half.copy()
-    for i in range(cfg.n):
-        if participating[i] or cfg.offline_training:
-            models_next[i] = _local_sgd(
-                suite.problems[i], models_half[i], eta, cfg.local_epochs, cfg.batch_size,
-                streams["training"],
-            )
+    training = np.flatnonzero(participating | cfg.offline_training)
+    if training.size:
+        _lockstep_sgd(models_next, suite.pooled, training, eta, cfg.local_epochs,
+                      cfg.batch_size, streams["training"])
 
     new_state = SimState(
         models=models_next,

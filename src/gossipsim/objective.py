@@ -19,8 +19,10 @@ The per-round diagnostics score every node's model on every shard.  They
 run over one pooled view of the shards (:class:`PooledShards`): the
 samples stacked in node order with each shard's start offset, so a
 model is scored on all shards with one matrix product and a segmented
-sum.  ``local_loss``, ``local_gradient`` and ``per_sample_grad_sq_norms``
-are the per-node reference the pooled functions are tested against.
+sum.  Local SGD runs over the same view: :func:`lockstep_gradient` takes
+one mini-batch gradient of every training node at once.  ``local_loss``,
+``local_gradient`` and ``per_sample_grad_sq_norms`` are the per-node
+reference the pooled functions are tested against.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "global_accuracy",
     "global_gradient",
     "node_mean_gradient",
+    "lockstep_gradient",
     "heterogeneity_gap",
     "grad_bound_estimate",
     "build_suite",
@@ -219,10 +222,12 @@ def pool_shards(problems) -> PooledShards:
 
 
 def _pooled(source) -> PooledShards:
-    """The pooled view of a suite (cached on it) or of a sequence of node
-    problems (built on each call)."""
+    """The pooled view of a suite (cached on it), the view itself, or that
+    of a sequence of node problems (built on each call)."""
     if isinstance(source, ProblemSuite):
         return source.pooled
+    if isinstance(source, PooledShards):
+        return source
     return pool_shards(source)
 
 
@@ -281,6 +286,24 @@ def node_mean_gradient(problems, points) -> np.ndarray:
     dz = _sample_dloss(p.kind, np.einsum("sd,skd->sk", p.features, mats), p.targets)
     grad = (weight[:, None] * dz).T @ p.features
     return grad.ravel() + p.reg * points.mean(axis=0)
+
+
+def lockstep_gradient(pool: PooledShards, mats: np.ndarray, rows: np.ndarray,
+                      counts: np.ndarray) -> np.ndarray:
+    """Mini-batch gradients of k models at once, as a (k, outputs, d) stack.
+
+    Model r is the (outputs, d) matrix ``mats[r]`` and its batch is the
+    pooled rows ``rows[r, :counts[r]]``; the rest of ``rows[r]`` is
+    padding, masked out of the sum.  Row r equals
+    ``local_gradient(node, mats[r].ravel(), batch)`` up to rounding.
+    """
+    p = pool.whole
+    x = p.features[rows]
+    z = np.matmul(x, mats.transpose(0, 2, 1))
+    dz = _sample_dloss(p.kind, z.reshape(-1, p.outputs), p.targets[rows].ravel())
+    real = np.arange(rows.shape[1]) < counts[:, None]
+    dz = dz.reshape(z.shape) * real[:, :, None]
+    return np.matmul(dz.transpose(0, 2, 1), x) / counts[:, None, None] + p.reg * mats
 
 
 def _curvature(p: NodeProblem) -> float:
@@ -342,7 +365,7 @@ def _descend(problems, w0: np.ndarray, grad_tol: float, max_iter: int) -> np.nda
     return w
 
 
-def _minimize(problems, grad_tol: float, max_iter: int) -> np.ndarray:
+def _minimize(problems, grad_tol: float = 1e-10, max_iter: int = 200_000) -> np.ndarray:
     """Minimizer of the mean of the node losses.
 
     Ridge uses the exact normal-equation solve.  Softmax minimizes with
@@ -380,20 +403,21 @@ def heterogeneity_gap(problems, w_star, local_values, weights: str = "data") -> 
     """Nonnegative data-heterogeneity measure: the gap between the global
     optimal value and the weighted sum of per-node optimal values.
 
+    ``problems`` is as in :func:`global_loss` or a pooled view.
     ``weights="data"`` weighs node i by its data share m_i / sum_j m_j;
     ``weights="uniform"`` uses 1/n.  Identical shards give 0; more skewed
     shards give larger values.  Tiny negative float residue (>= -1e-10)
     is clamped to 0.
     """
-    problems = list(problems)
+    pool = _pooled(problems)
     if weights == "data":
-        total = sum(p.m for p in problems)
-        shares = [p.m / total for p in problems]
+        total = int(pool.sizes.sum())
+        shares = [m / total for m in pool.sizes.tolist()]
     elif weights == "uniform":
-        shares = [1.0 / len(problems)] * len(problems)
+        shares = [1.0 / pool.n] * pool.n
     else:
         raise ValueError(f"unknown weighting {weights!r}")
-    gap = global_loss(problems, w_star) - sum(s * v for s, v in zip(shares, local_values))
+    gap = global_loss(pool, w_star) - sum(s * v for s, v in zip(shares, local_values))
     if -1e-10 <= gap < 0.0:
         return 0.0
     return float(gap)
@@ -481,13 +505,17 @@ def build_suite(
             features = features * np.sqrt(target_curvature / top)
             problems = make_problems(features)
 
+    # one pooled view scores the optimum, the gap and the bound, and is
+    # the suite's own
+    pool = pool_shards(problems)
     smooth, strong = constants(problems)
-    w_star, f_star = global_optimum(problems)
+    w_star = _minimize(problems)
+    f_star = global_loss(pool, w_star)
     local_opts = [local_optimum(p) for p in problems]
-    gap = heterogeneity_gap(problems, w_star, [v for _, v in local_opts], gamma_weights)
+    gap = heterogeneity_gap(pool, w_star, [v for _, v in local_opts], gamma_weights)
     probes = [np.zeros(problems[0].dim), w_star] + [w for w, _ in local_opts]
-    bound = grad_bound_estimate(problems, probes)
-    return ProblemSuite(
+    bound = grad_bound_estimate(pool, probes)
+    suite = ProblemSuite(
         problems=problems,
         dimension=problems[0].dim,
         L=smooth,
@@ -499,6 +527,8 @@ def build_suite(
         grad_bound_sq=bound,
         gamma_weights=gamma_weights,
     )
+    suite.pooled = pool
+    return suite
 
 
 def suite_digest(suite: ProblemSuite) -> str:

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from first principles (central
 differences, inline gradient formulas) and never calls the code paths it
-is used to verify.
+is used to verify.  The one library call is the per-node
+``local_gradient`` in :func:`local_sgd_loop`, which is itself held to
+central differences.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from gossipsim.objective import local_gradient
 
 
 def numerical_gradient(f, w: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -131,8 +135,9 @@ def dense_deemphasis(weights: np.ndarray, nodes, factor: float) -> np.ndarray:
 def step_accessibility_dict(accessible, rejoin_at, last_accessible, cfg, t, rng):
     """The churn step on a boolean mask plus a dict {node: rejoin round},
     walked in sorted node order: the definition the array state must
-    reproduce exactly, draws from ``rng`` included.  Returns new
-    ``(accessible, rejoin_at, last_accessible)``."""
+    reproduce exactly, draws from ``rng`` included.  Rejoin rounds are
+    unbounded Python ints, ``math.inf`` for an infinite absence.  Returns
+    new ``(accessible, rejoin_at, last_accessible)``."""
     accessible = accessible.copy()
     rejoin_at = dict(rejoin_at)
     last_accessible = last_accessible.copy()
@@ -144,7 +149,8 @@ def step_accessibility_dict(accessible, rejoin_at, last_accessible, cfg, t, rng)
     for i in range(accessible.shape[0]):
         if eligible[i] and cfg.dropout_p > 0.0 and rng.random() < cfg.dropout_p:
             accessible[i] = False
-            rejoin_at[i] = t + math.ceil(float(rng.exponential(1.0 / cfg.rate)))
+            absence = float(rng.exponential(1.0 / cfg.rate))
+            rejoin_at[i] = t + math.ceil(absence) if math.isfinite(absence) else math.inf
     last_accessible[accessible] = t
     return accessible, rejoin_at, last_accessible
 
@@ -161,3 +167,22 @@ def gap_bound_loop(models: np.ndarray, mask: np.ndarray, smoothness: float, eta:
         if not mask[i]:
             bracket += float(np.sqrt(np.sum((models[i] - wbar) ** 2)))
     return smoothness * eta**2 / n * bracket, (1.0 + smoothness * eta**2) / n * bracket
+
+
+def local_sgd_loop(problems, models: np.ndarray, training, eta: float, epochs: int,
+                   batch_size: int, rng) -> np.ndarray:
+    """Local SGD one node at a time in ascending id: every node with
+    ``training[i]`` set makes ``epochs`` shuffled passes of mini-batch SGD
+    over its own shard, one ``local_gradient`` call per batch.  The
+    definition the lockstep engine must reproduce, draws from ``rng``
+    included.  Returns the new models; the others are copied."""
+    out = models.copy()
+    for i, problem in enumerate(problems):
+        if not training[i]:
+            continue
+        w = out[i]
+        for _ in range(epochs):
+            order = rng.permutation(problem.m)
+            for start in range(0, problem.m, batch_size):
+                w -= eta * local_gradient(problem, w, order[start : start + batch_size])
+    return out

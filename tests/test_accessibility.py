@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from gossipsim.accessibility import (
+    NEVER,
     ChurnConfig,
     absence_duration,
     init_accessibility,
@@ -152,7 +153,8 @@ def test_invariant_rejoin_map_matches_flags():
 @given(
     n=st.integers(1, 30),
     dropout_p=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
-    rate=st.floats(0.05, 10.0),
+    # the tiny rates draw absences near and past int64, and 5e-324 an infinite one
+    rate=st.one_of(st.floats(0.05, 10.0), st.sampled_from([1e-18, 1e-19, 1e-300, 5e-324])),
     rounds=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -168,6 +170,18 @@ def test_property_array_state_matches_dict_reference(n, dropout_p, rate, rounds,
         )
         assert np.array_equal(state.accessible, accessible)
         scheduled = np.flatnonzero(state.rejoin_at >= 0)
-        assert {int(i): int(state.rejoin_at[i]) for i in scheduled} == rejoin_at
+        assert {int(i): int(state.rejoin_at[i]) for i in scheduled} == {
+            i: min(r, NEVER) for i, r in rejoin_at.items()}
         assert np.array_equal(state.last_accessible, last)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("rate", [1e-300, 5e-324])
+def test_absence_past_int64_never_rejoins(rate):
+    cfg = ChurnConfig(dropout_p=1.0, rate=rate)
+    state = step_accessibility(init_accessibility(3), cfg, 0, np.random.default_rng(0))
+    assert (state.rejoin_at == NEVER).all()
+    for t in range(1, 5):
+        state = step_accessibility(state, cfg, t, np.random.default_rng(t))
+        assert not state.accessible.any()
+        assert np.array_equal(state.last_accessible, [-1, -1, -1])

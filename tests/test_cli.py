@@ -153,6 +153,17 @@ def test_run_seed_flag_overrides(tmp_path):
     assert json.loads((out1 / "manifest.json").read_text())["seeds"] == [8]
 
 
+def test_run_with_an_absence_past_int64_exits_zero_and_checks(tmp_path, capsys):
+    # every node drops at t=0 for about 1e300 rounds: it never rejoins
+    cfg = _write_config(tmp_path, {"n": 4, "rounds": 2,
+                                   "churn": {"dropout_p": 1, "lambda": 1e-300}})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert [r.n1 for r in read_trace_csv(out / "trace.csv")] == [0, 0]
+    assert main(["check", "--out", str(out)]) == EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_sweep_layout_and_summary(tmp_path):
     cfg = _write_config(tmp_path, SMALL)
     out = tmp_path / "sweep"

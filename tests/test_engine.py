@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipsim.accessibility import ChurnConfig
 from gossipsim.config import RunConfig, SuiteSpec, build_problem_suite
@@ -18,8 +20,8 @@ from gossipsim.engine import (
     run_simulation,
 )
 from gossipsim.mobility import MobilityConfig
-from gossipsim.objective import local_gradient
-from oracles import pooled_sgd_ridge
+from gossipsim.objective import NodeProblem, ProblemSuite, local_gradient
+from oracles import local_sgd_loop, pooled_sgd_ridge
 
 FULL_RADIUS = MobilityConfig(radius=5000.0)
 
@@ -240,3 +242,52 @@ def test_ridge_trace_has_nan_accuracy():
     suite = build_problem_suite(cfg)
     rows = run_simulation(cfg.sim, suite)
     assert all(math.isnan(r.mean_acc) for r in rows)
+
+
+def _ragged_suite(kind, sizes, d, classes, rng) -> ProblemSuite:
+    """Shards of the given sizes; the constants no round reads are NaN."""
+    problems = []
+    for m in sizes:
+        x = rng.normal(size=(m, d))
+        y = rng.integers(0, classes, size=m) if kind == "softmax" else rng.normal(size=m)
+        problems.append(NodeProblem(x, y, reg=0.1, kind=kind, n_classes=classes))
+    dim = problems[0].dim
+    return ProblemSuite(problems=problems, dimension=dim, L=math.nan, mu=math.nan,
+                        w_star=np.full(dim, math.nan), f_star=math.nan, local_optima=[],
+                        gamma=math.nan, grad_bound_sq=math.nan)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["ridge", "softmax"]),
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=7),
+    batch=st.sampled_from(["one", "between", "above"]),
+    epochs=st.integers(1, 3),
+    offline=st.booleans(),
+    dropout_p=st.sampled_from([0.0, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lockstep_sgd_matches_the_per_node_loop(kind, sizes, batch, epochs, offline, dropout_p,
+                                                seed):
+    rng = np.random.default_rng(seed)
+    suite = _ragged_suite(kind, sizes, d=3, classes=3, rng=rng)
+    batch_size = {"one": 1, "between": (min(sizes) + max(sizes) + 1) // 2,
+                  "above": max(sizes) + 1}[batch]
+    cfg = SimConfig(n=len(sizes), rounds=3, seed=seed % 1000, local_epochs=epochs,
+                    batch_size=batch_size, offline_training=offline,
+                    mobility=MobilityConfig(radius=600.0),
+                    churn=ChurnConfig(dropout_p=dropout_p, rate=0.5))
+    streams = derive_streams(cfg.seed)
+    state = init_state(cfg, suite, streams)
+    for _ in range(cfg.rounds):
+        ref_rng = np.random.default_rng()
+        ref_rng.bit_generator.state = streams["training"].bit_generator.state
+        result = advance_round(state, suite, cfg, streams)
+        training = result.participating | offline
+        want = local_sgd_loop(suite.problems, result.models_half, training, result.eta,
+                              epochs, batch_size, ref_rng)
+        got = result.state.models
+        assert np.array_equal(got[~training], result.models_half[~training])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert streams["training"].bit_generator.state == ref_rng.bit_generator.state
+        state = result.state

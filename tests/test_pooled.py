@@ -2,7 +2,8 @@
 
 ``global_loss``, ``global_accuracy``, ``grad_bound_estimate`` and
 ``node_mean_gradient`` (hence ``gradient_gap``) score models over one
-stacked sample matrix.  Here they must agree with the per-node functions
+stacked sample matrix, and ``lockstep_gradient`` takes local SGD's
+mini-batch gradients of many nodes at once from it.  Here they must agree with the per-node functions
 ``local_loss``, ``local_accuracy``, ``per_sample_grad_sq_norms`` and
 ``local_gradient`` on random shards of unequal sizes, including
 one-sample shards, for single models and model stacks.  Only the order
@@ -21,6 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gossipsim import objective
+from gossipsim.config import build_problem_suite, run_config_from_dict
 from gossipsim.diagnostics import gradient_gap
 from gossipsim.objective import (
     NodeProblem,
@@ -31,6 +34,7 @@ from gossipsim.objective import (
     local_accuracy,
     local_gradient,
     local_loss,
+    lockstep_gradient,
     node_mean_gradient,
     per_sample_grad_sq_norms,
     pool_shards,
@@ -158,6 +162,40 @@ def test_suite_builds_its_pooled_view_once_on_first_use():
     assert pool.sizes.tolist() == [3, 1, 2]
     assert pool.offsets.tolist() == [0, 3, 4]
     assert np.array_equal(pool.whole.features[3], problems[1].features[0])
+
+
+def test_one_suite_build_pools_the_shards_once(monkeypatch):
+    calls = []
+
+    def counted(problems):
+        calls.append(1)
+        return pool_shards(problems)
+
+    monkeypatch.setattr(objective, "pool_shards", counted)
+    suite = build_problem_suite(run_config_from_dict({}))
+    assert len(calls) == 1
+    assert suite.pooled.n == suite.n
+    assert len(calls) == 1
+
+
+@SETTINGS
+@given(shards(), st.data())
+def test_lockstep_gradient_matches_local_gradient_per_node(case, data):
+    problems, rng = case
+    pool = pool_shards(problems)
+    counts = np.array([data.draw(st.integers(1, p.m)) for p in problems])
+    # padding slots point at arbitrary pooled rows; the mask must drop them
+    rows = rng.integers(0, pool.whole.m, size=(len(problems), int(counts.max())))
+    batches = []
+    for r, p in enumerate(problems):
+        batches.append(rng.choice(p.m, size=counts[r], replace=False))
+        rows[r, :counts[r]] = pool.offsets[r] + batches[r]
+    mats = rng.normal(size=(len(problems), p.outputs, p.features.shape[1]))
+    got = lockstep_gradient(pool, mats, rows, counts)
+    assert got.shape == mats.shape
+    for r, p in enumerate(problems):
+        want = local_gradient(p, mats[r].ravel(), batches[r])
+        assert np.allclose(got[r].ravel(), want, rtol=REL, atol=REL * np.abs(want).max())
 
 
 def test_pooling_rejects_mixed_problems_and_wrong_model_shapes():
