@@ -3,11 +3,12 @@
 ``global_loss``, ``global_accuracy``, ``grad_bound_estimate`` and
 ``node_mean_gradient`` (hence ``gradient_gap``) score models over one
 stacked sample matrix, and ``lockstep_gradient`` takes local SGD's
-mini-batch gradients of many nodes at once from it.  Here they must agree with the per-node functions
-``local_loss``, ``local_accuracy``, ``per_sample_grad_sq_norms`` and
-``local_gradient`` on random shards of unequal sizes, including
-one-sample shards, for single models and model stacks.  Only the order
-of the floating-point sums differs, so the tolerance is 1e-12 relative.
+mini-batch gradients of many nodes at once from it.  Here they must
+agree with the per-node functions ``local_loss``, ``local_accuracy``,
+``per_sample_grad_sq_norms`` and ``local_gradient`` on random shards of
+unequal sizes, including one-sample shards, for single models and model
+stacks.  Only the order of the floating-point sums differs, so the
+tolerance is 1e-12 relative.
 
 Both sides run the same per-sample kernel, so the losses of both are
 also held to the first-principles formulas of ``tests/oracles.py``.
