@@ -1,13 +1,14 @@
 """Record one checkout's benchmark as ``BENCH_<short-sha>.json``.
 
-    python tools/bench_record.py [--checkout DIR] [--seconds S] [--seed N]
+    python tools/bench_record.py [--checkout DIR]
 
 Runs ``bench/run.py --trace 0`` of the checkout at DIR (default: this
 repository) on each workload its ``BENCHMARK.json`` declares, one after
-another, and writes ``BENCH_<short-sha>.json`` at the root of this
-repository.  The file holds, per workload, the run's final JSON line and
-its ``env`` record, plus the commit and the git tree of the checkout's
-``src``, which names the measured code even after a history rewrite.
+another, with seed 0 and that file's ``run_seconds``, and writes
+``BENCH_<short-sha>.json`` at the root of this repository.  The file
+holds, per workload, the run's final JSON line and its ``env`` record,
+plus the commit and the git tree of the checkout's ``src``, which names
+the measured code even after a history rewrite.
 The checkout must have no uncommitted change under ``src/`` or
 ``bench/``, so that the commit in the name is the code that ran.
 """
@@ -21,6 +22,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 0
 
 
 def _git(checkout: Path, *args: str) -> str:
@@ -28,10 +30,10 @@ def _git(checkout: Path, *args: str) -> str:
                           check=True).stdout.strip()
 
 
-def run_workload(checkout: Path, name: str, seed: int, seconds: float) -> dict:
+def run_workload(checkout: Path, name: str, seconds: float) -> dict:
     """One untraced ``bench/run.py`` run: its env record and final line."""
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", name, "--seed", str(seed),
+        [sys.executable, "bench/run.py", "--workload", name, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     )
@@ -49,8 +51,6 @@ def run_workload(checkout: Path, name: str, seed: int, seconds: float) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--checkout", type=Path, default=ROOT)
-    parser.add_argument("--seconds", type=float, help="per workload; default: BENCHMARK.json's")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     checkout = args.checkout.resolve()
@@ -58,18 +58,18 @@ def main(argv=None) -> int:
         print(f"{checkout}: uncommitted changes under src/ or bench/", file=sys.stderr)
         return 2
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     sha = _git(checkout, "rev-parse", "--short", "HEAD")
     record = {
         "commit": _git(checkout, "rev-parse", "HEAD"),
         "src_tree": _git(checkout, "rev-parse", "HEAD:src"),
-        "seed": args.seed,
+        "seed": SEED,
         "seconds": seconds,
         "workloads": {},
     }
     for workload in spec["workloads"]:
         name = workload["name"]
-        record["workloads"][name] = run_workload(checkout, name, args.seed, seconds)
+        record["workloads"][name] = run_workload(checkout, name, seconds)
         print(f"{name}: done", file=sys.stderr)
     out = ROOT / f"BENCH_{sha}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
