@@ -278,41 +278,43 @@ def cmd_check(out_dir) -> int:
         if not ok:
             failures.append(name)
 
-    rows_ok, finite_ok, nonneg_ok, counts_ok, order_ok, zero_gap_ok = (True,) * 6
-    rows_where = finite_where = nonneg_where = counts_where = order_where = zero_where = ""
+    # each row check's first failure, in trace order
+    first_bad = {}
     for trace, rows, config in found:
         if len(rows) != config.sim.rounds:
-            rows_ok, rows_where = False, f"{trace} ({len(rows)} rows, {config.sim.rounds} rounds)"
+            first_bad.setdefault("row count",
+                                 f"{trace} ({len(rows)} rows, {config.sim.rounds} rounds)")
         # ridge has no accuracy: its mean_acc column is NaN by design
         ridge = config.suite.kind == "ridge"
         finite_cols = [c for c in TRACE_COLUMNS if not (c == "mean_acc" and ridge)]
         for row in rows:
-            if not all(math.isfinite(getattr(row, c)) for c in finite_cols):
-                finite_ok, finite_where = False, f"{trace} t={row.t}"
+            where = f"{trace} t={row.t}"
+            column = next((c for c in finite_cols if not math.isfinite(getattr(row, c))), None)
+            if column is not None:
+                first_bad.setdefault("finite values", f"{where} column {column}")
             if min(row.dist_wbar_sq, row.dist_wtilde_sq, row.div_lhs, row.div_rhs_main,
                    row.div_rhs_appendix, row.beta_t, row.gap_term, row.gamma) < 0:
-                nonneg_ok, nonneg_where = False, f"{trace} t={row.t}"
+                first_bad.setdefault("nonnegative distances", where)
             if row.n1 < 0 or row.n2 < 0 or row.n1 + row.n2 != config.sim.n:
-                counts_ok, counts_where = False, f"{trace} t={row.t}"
+                first_bad.setdefault("node counts", where)
             if config.sim.eta(row.t) <= 1.0 and row.div_rhs_appendix < row.div_rhs_main:
-                order_ok, order_where = False, f"{trace} t={row.t}"
+                first_bad.setdefault("bound constant ordering", where)
             if row.n2 == 0 and row.div_lhs > 1e-12:
-                zero_gap_ok, zero_where = False, f"{trace} t={row.t}"
+                first_bad.setdefault("zero gap at full participation", where)
             bound_total += 1
             bound_hold += row.div_lhs <= row.div_rhs_appendix
 
-    check("row count", rows_ok,
-          "one row per round" if rows_ok else f"wrong row count in {rows_where}")
-    check("finite values", finite_ok,
-          "every column finite" if finite_ok else f"non-finite value in {finite_where}")
-    check("nonnegative distances", nonneg_ok,
-          "all distance and bound columns nonnegative" if nonneg_ok else f"negative value in {nonneg_where}")
-    check("node counts", counts_ok,
-          "n1+n2=n on every row" if counts_ok else f"bad split in {counts_where}")
-    check("bound constant ordering", order_ok,
-          "appendix constant dominates main constant" if order_ok else f"violated in {order_where}")
-    check("zero gap at full participation", zero_gap_ok,
-          "div_lhs <= 1e-12 whenever n2=0" if zero_gap_ok else f"violated in {zero_where}")
+    for name, passed, failed in (
+        ("row count", "one row per round", "wrong row count in"),
+        ("finite values", "every column finite", "non-finite value in"),
+        ("nonnegative distances", "all distance and bound columns nonnegative",
+         "negative value in"),
+        ("node counts", "n1+n2=n on every row", "bad split in"),
+        ("bound constant ordering", "appendix constant dominates main constant", "violated in"),
+        ("zero gap at full participation", "div_lhs <= 1e-12 whenever n2=0", "violated in"),
+    ):
+        bad = first_bad.get(name)
+        check(name, bad is None, passed if bad is None else f"{failed} {bad}")
     rate = bound_hold / bound_total if bound_total else 0.0
     check(
         "divergence bound rate",

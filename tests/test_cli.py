@@ -266,6 +266,29 @@ def test_check_flags_non_finite_column(tmp_path, capsys, column):
     assert "FAIL  finite values" in capsys.readouterr().out
 
 
+def test_check_names_the_first_failing_row_of_each_check(tmp_path, capsys):
+    cfg = _write_config(tmp_path, SMALL)
+    out = tmp_path / "run"
+    main(["run", "--config", cfg, "--out", str(out)])
+    trace = out / "trace.csv"
+    lines = trace.read_text().splitlines()
+    # rows t=1 and t=2 each break all five row checks; t=1 must be named
+    for line, non_finite in ((2, "beta_t"), (3, "mean_loss")):
+        cells = dict(zip(TRACE_COLUMNS, lines[line].split(",")))
+        cells.update({non_finite: "nan", "dist_wbar_sq": "-1.0", "n1": "0", "n2": "0",
+                      "div_lhs": "1.0", "div_rhs_main": "1e9"})
+        lines[line] = ",".join(cells[c] for c in TRACE_COLUMNS)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", "--out", str(out)]) == EXIT_RUNTIME
+    report = capsys.readouterr().out
+    for name in ("nonnegative distances", "node counts", "bound constant ordering",
+                 "zero gap at full participation"):
+        line = next(line for line in report.splitlines() if f"FAIL  {name}:" in line)
+        assert line.endswith(f"{trace} t=1"), line
+    assert f"FAIL  finite values: non-finite value in {trace} t=1 column beta_t" in report
+
+
 @pytest.mark.parametrize("keep", [0, 2])
 def test_check_fails_on_missing_rows_without_crashing(tmp_path, capsys, keep):
     cfg = _write_config(tmp_path, SMALL)

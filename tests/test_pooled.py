@@ -113,6 +113,37 @@ def test_global_accuracy_is_data_weighted_local_accuracy(case, k):
     assert global_accuracy(problems, stack[0]) == got[0]
 
 
+@pytest.mark.parametrize("kind", ["ridge", "softmax"])
+def test_stacked_scores_do_not_depend_on_the_block(kind):
+    rng = np.random.default_rng(5)
+    classes = 3 if kind == "softmax" else 0
+    # about three models' outputs fill a block, so seven models span two
+    # full blocks and a partial one
+    total = objective._BLOCK_BYTES // (8 * max(classes, 1) * 3)
+    problems = []
+    for m in (1, total // 3, total - 1 - total // 3):
+        x = rng.normal(size=(m, 4))
+        y = rng.integers(0, classes, size=m) if classes else rng.normal(size=m)
+        problems.append(NodeProblem(x, y, reg=0.3, kind=kind, n_classes=classes))
+    pool = pool_shards(problems)
+    stack = rng.normal(size=(7, pool.whole.dim))
+    widths = [z.shape[0] for z in objective._output_blocks(pool, stack)]
+    assert len(widths) >= 3 and widths[-1] < widths[0]
+
+    perm = rng.permutation(len(stack))
+    scorers = [(global_loss, lambda w: np.mean([local_loss(p, w) for p in problems]))]
+    if classes:
+        scorers.append((global_accuracy, lambda w: sum(local_accuracy(p, w) * p.m
+                                                       for p in problems) / total))
+    for score, reference in scorers:
+        got = score(pool, stack)
+        assert got.tolist() == [score(pool, w) for w in stack]
+        unpermuted = np.empty_like(got)
+        unpermuted[perm] = score(pool, stack[perm])
+        assert unpermuted.tolist() == got.tolist()
+        np.testing.assert_allclose(got, [reference(w) for w in stack], rtol=REL, atol=0)
+
+
 @SETTINGS
 @given(shards(), st.integers(1, 4))
 def test_grad_bound_is_max_of_per_sample_norms(case, k):
