@@ -127,7 +127,7 @@ def test_stacked_scores_do_not_depend_on_the_block(kind):
         problems.append(NodeProblem(x, y, reg=0.3, kind=kind, n_classes=classes))
     pool = pool_shards(problems)
     stack = rng.normal(size=(7, pool.whole.dim))
-    widths = [z.shape[0] for z in objective._output_blocks(pool, stack)]
+    widths = [z.shape[0] for _, z in objective._output_blocks(pool, stack)]
     assert len(widths) >= 3 and widths[-1] < widths[0]
 
     perm = rng.permutation(len(stack))
