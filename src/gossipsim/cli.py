@@ -70,12 +70,23 @@ def _write_json(path: Path, payload: dict) -> None:
     _atomic_write(path, do)
 
 
+def _first_nonfinite(trace: Path, rows, config: RunConfig):
+    """``"<trace> t=<t> column <c>"`` for the first non-finite cell of the
+    rows, or None.  Ridge has no accuracy: its mean_acc is NaN by design."""
+    ridge = config.suite.kind == "ridge"
+    columns = [c for c in TRACE_COLUMNS if not (c == "mean_acc" and ridge)]
+    return next((f"{trace} t={row.t} column {c}" for row in rows for c in columns
+                 if not math.isfinite(getattr(row, c))), None)
+
+
 def _run_one(config: RunConfig, out_dir: Path) -> dict:
     """Build the suite, simulate, write trace.csv and manifest.json.  The
-    output directory is made only once the suite is built."""
-    suite = build_problem_suite(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = run_simulation(config.sim, suite)
+    output directory is made only once the suite is built.  A non-finite
+    trace is written too, for ``check``, and then raises FloatingPointError."""
+    with np.errstate(all="ignore"):  # an overflow ends in one error, not in warnings
+        suite = build_problem_suite(config)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        rows = run_simulation(config.sim, suite)
     _atomic_write(out_dir / "trace.csv", lambda p: write_trace_csv(p, rows))
     manifest = {
         "config": run_config_to_dict(config),
@@ -85,6 +96,9 @@ def _run_one(config: RunConfig, out_dir: Path) -> dict:
         "version": __version__,
     }
     _write_json(out_dir / "manifest.json", manifest)
+    bad = _first_nonfinite(out_dir / "trace.csv", rows, config)
+    if bad is not None:
+        raise FloatingPointError(f"non-finite value in {bad}")
     return manifest
 
 
@@ -284,14 +298,11 @@ def cmd_check(out_dir) -> int:
         if len(rows) != config.sim.rounds:
             first_bad.setdefault("row count",
                                  f"{trace} ({len(rows)} rows, {config.sim.rounds} rounds)")
-        # ridge has no accuracy: its mean_acc column is NaN by design
-        ridge = config.suite.kind == "ridge"
-        finite_cols = [c for c in TRACE_COLUMNS if not (c == "mean_acc" and ridge)]
+        bad = _first_nonfinite(trace, rows, config)
+        if bad is not None:
+            first_bad.setdefault("finite values", bad)
         for row in rows:
             where = f"{trace} t={row.t}"
-            column = next((c for c in finite_cols if not math.isfinite(getattr(row, c))), None)
-            if column is not None:
-                first_bad.setdefault("finite values", f"{where} column {column}")
             if min(row.dist_wbar_sq, row.dist_wtilde_sq, row.div_lhs, row.div_rhs_main,
                    row.div_rhs_appendix, row.beta_t, row.gap_term, row.gamma) < 0:
                 first_bad.setdefault("nonnegative distances", where)

@@ -7,8 +7,8 @@ they neither send nor receive mass.
 
 A matrix is stored as its links and its diagonal: each link i < j carries
 one weight, used for both directions, and the diagonal holds the rest of
-each row.  Nothing on the per-round path is n-by-n; the CSR view
-``GossipMatrix.weights`` is built only when something reads it.
+each row.  Nothing on the per-round path is n-by-n; mixing and verification
+read the one full form, the CSR ``GossipMatrix.weights``, built on first read.
 """
 
 from __future__ import annotations
@@ -42,20 +42,21 @@ class GossipMatrix:
     w: np.ndarray
     diag: np.ndarray
 
-    def entries(self) -> tuple:
-        """(rows, cols, values) of every stored entry, both directions of
-        each link and the diagonal, sorted by row and then column."""
-        diag = np.arange(self.n)
-        rows = np.concatenate([self.i, self.j, diag])
-        cols = np.concatenate([self.j, self.i, diag])
-        order = np.lexsort((cols, rows))
-        return rows[order], cols[order], np.concatenate([self.w, self.w, self.diag])[order]
-
     @cached_property
     def weights(self) -> sparse.csr_array:
-        """The full symmetric matrix in CSR form, built on first read."""
-        rows, cols, vals = self.entries()
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=self.n))])
+        """The full symmetric matrix in CSR form, built on first read.  Row
+        r stores the links where r is ``i``, then those where it is ``j``,
+        each in link order, then the diagonal: a product sums a row in
+        stored order, so this order fixes the bits of every mixed model."""
+        diag = np.arange(self.n)
+        rows = np.concatenate([self.i, self.j, diag])
+        m = rows.size
+        # sorting row*m + position is a stable sort by row, and a faster one
+        keys = np.sort(rows * m + np.arange(m))
+        order = keys % m
+        cols = np.concatenate([self.j, self.i, diag])[order]
+        vals = np.concatenate([self.w, self.w, self.diag])[order]
+        indptr = np.searchsorted(keys, np.arange(self.n + 1) * m)
         return sparse.csr_array((vals, cols, indptr), shape=(self.n, self.n))
 
 
@@ -93,12 +94,11 @@ def verify_doubly_stochastic(matrix, tol: float = 1e-9) -> bool:
     row and column sums to 1, all within ``tol``.  Takes a GossipMatrix,
     a scipy sparse matrix or a dense array; only stored entries are read."""
     if isinstance(matrix, GossipMatrix):
-        n, (rows, cols, vals) = matrix.n, matrix.entries()
-    else:
-        coo = sparse.coo_array(matrix, dtype=float)
-        if coo.ndim != 2 or coo.shape[0] != coo.shape[1]:
-            return False
-        n, (rows, cols), vals = coo.shape[0], coo.coords, coo.data
+        matrix = matrix.weights
+    coo = sparse.coo_array(matrix, dtype=float)
+    if coo.ndim != 2 or coo.shape[0] != coo.shape[1]:
+        return False
+    n, (rows, cols), vals = coo.shape[0], coo.coords, coo.data
     # g - g.T on the union of the stored positions and their mirrors
     keys, where = np.unique(np.concatenate([rows * n + cols, cols * n + rows]),
                             return_inverse=True)
@@ -121,22 +121,13 @@ def gossip_average(models, matrix: GossipMatrix) -> np.ndarray:
     """Mix models with the matrix: output_i = sum_j w_ij * model_j.
 
     ``models`` is an (n, d) array or a list of n equal-length vectors.
-    Each row is its diagonal term plus its links' terms, which one
-    ``np.bincount`` adds up over the flattened (n, d) output.
     """
     stacked = np.asarray(models, dtype=float)
     if stacked.ndim != 2:
         raise ValueError("models must form an (n, d) array of equal-length vectors")
     if stacked.shape[0] != matrix.n:
         raise ValueError("model count does not match matrix size")
-    n, d = stacked.shape
-    rows = np.concatenate([matrix.i, matrix.j])
-    terms = stacked[np.concatenate([matrix.j, matrix.i])]
-    terms *= np.concatenate([matrix.w, matrix.w])[:, None]
-    cells = (rows * d)[:, None] + np.arange(d)
-    out = matrix.diag[:, None] * stacked
-    out += np.bincount(cells.ravel(), terms.ravel(), n * d).reshape(n, d)
-    return out
+    return matrix.weights @ stacked
 
 
 def active_nodes(matrix: GossipMatrix) -> np.ndarray:

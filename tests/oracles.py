@@ -132,6 +132,23 @@ def dense_deemphasis(weights: np.ndarray, nodes, factor: float) -> np.ndarray:
     return w
 
 
+def mix_in_row_order(models: np.ndarray, matrix) -> np.ndarray:
+    """``W @ models`` for a GossipMatrix's fields, each row summed from zero
+    in a fixed order: the links where the node is ``i``, in link order, then
+    the links where it is ``j``, then ``diag * x``."""
+    out = np.empty_like(models)
+    for r in range(matrix.n):
+        acc = np.zeros(models.shape[1])
+        for k in range(len(matrix.w)):
+            if matrix.i[k] == r:
+                acc = acc + matrix.w[k] * models[matrix.j[k]]
+        for k in range(len(matrix.w)):
+            if matrix.j[k] == r:
+                acc = acc + matrix.w[k] * models[matrix.i[k]]
+        out[r] = acc + matrix.diag[r] * models[r]
+    return out
+
+
 def step_accessibility_dict(accessible, rejoin_at, last_accessible, cfg, t, rng):
     """The churn step on a boolean mask plus a dict {node: rejoin round},
     walked in sorted node order: the definition the array state must

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -162,6 +163,54 @@ def test_run_with_an_absence_past_int64_exits_zero_and_checks(tmp_path, capsys):
     assert [r.n1 for r in read_trace_csv(out / "trace.csv")] == [0, 0]
     assert main(["check", "--out", str(out)]) == EXIT_OK
     assert "FAIL" not in capsys.readouterr().out
+
+
+# configs whose runs overflow: the trace's first non-finite (round, column),
+# or None where the suite cannot be built and nothing is written
+OVERFLOWING = [
+    ({"n": 4, "rounds": 2, "init_scale": 1e200}, "t=0 column dist_wbar_sq"),
+    ({"n": 4, "rounds": 2, "churn": {"dropout_p": 1, "lambda": 5e-324}}, "t=0 column beta_t"),
+    ({"n": 4, "rounds": 60, "eta": {"eta0": 50}}, "t=45 column dist_wbar_sq"),
+    ({"n": 4, "rounds": 2, "suite": {"separation": 1e200}}, None),
+]
+
+
+@pytest.mark.parametrize("payload, first_bad", OVERFLOWING)
+def test_an_overflowing_run_exits_one_with_one_stderr_line(tmp_path, capsys, child_env,
+                                                           payload, first_bad):
+    cfg = _write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "gossipsim", "run", "--config", cfg, "--out", str(out)],
+        env=child_env, capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_RUNTIME
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("run failed: ")
+    if first_bad is None:
+        assert not out.exists()
+        return
+    message = f"non-finite value in {out / 'trace.csv'} {first_bad}"
+    assert proc.stderr == f"run failed: {message}\n"
+    assert (out / "manifest.json").exists()
+    assert main(["check", "--out", str(out)]) == EXIT_RUNTIME
+    assert f"FAIL  finite values: {message}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("payload, first_bad", OVERFLOWING)
+def test_an_overflowing_sweep_exits_one_with_one_stderr_line(tmp_path, capsys, payload, first_bad):
+    cfg = _write_config(tmp_path, payload)
+    out = tmp_path / "sweep"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sweep", "--config", cfg, "--axis", "deemphasis", "--values", "1",
+                     "--seeds", "0", "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    assert caught == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("sweep failed: ")
+    if first_bad is not None:
+        assert err.endswith(f"deemphasis=1/seed=0/trace.csv {first_bad}\n")
 
 
 def test_sweep_layout_and_summary(tmp_path):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipsim.gossip import (
+    GossipMatrix,
     active_nodes,
     build_gossip_matrix,
     deemphasize_rejoined,
@@ -21,13 +22,20 @@ from gossipsim.gossip import (
     verify_doubly_stochastic,
 )
 from gossipsim.mobility import (
+    Adjacency,
     MobilityConfig,
     MobilityState,
     connectivity,
     init_mobility,
     step_mobility,
 )
-from oracles import dense_deemphasis, dense_links, dense_metropolis, step_mobility_loop
+from oracles import (
+    dense_deemphasis,
+    dense_links,
+    dense_metropolis,
+    mix_in_row_order,
+    step_mobility_loop,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -136,6 +144,45 @@ def test_property_matrices_and_mixing_match_the_dense_reference(net):
         assert np.abs(matrix.weights.toarray() - dense).max() <= 1e-12
         mixed = gossip_average(models, matrix)
         assert np.abs(mixed - dense @ models).max() <= 1e-12 * scale
+
+
+@st.composite
+def shuffled_matrices(draw):
+    """(built matrix, its de-emphasised copy, models): a random link set on
+    1-12 nodes listed in shuffled order, and 1-6 model coordinates whose
+    magnitudes span several decades."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    i, j = np.triu_indices(n, 1)
+    keep = rng.random(i.size) < draw(st.floats(0.0, 1.0))
+    pairs = rng.permutation(np.column_stack([i[keep], j[keep]]))
+    G = build_gossip_matrix(Adjacency(n, pairs), rng.random(n) < 0.8)
+    scaled = deemphasize_rejoined(G, rng.random(n) < 0.4, draw(st.floats(0.0, 1.0)))
+    models = rng.normal(size=(n, draw(st.integers(1, 6)))) * 10.0 ** rng.integers(-3, 4, (n, 1))
+    return G, scaled, models
+
+
+@SETTINGS
+@given(shuffled_matrices())
+def test_property_mixing_sums_each_row_in_link_order(drawn):
+    G, scaled, models = drawn
+    for matrix in (G, scaled):
+        assert np.array_equal(gossip_average(models, matrix), mix_in_row_order(models, matrix))
+
+
+@SETTINGS
+@given(shuffled_matrices())
+def test_property_verification_agrees_across_input_forms(drawn):
+    G, scaled, _ = drawn
+    for matrix in (G, scaled):
+        forms = (matrix, matrix.weights, matrix.weights.toarray())
+        assert [verify_doubly_stochastic(f) for f in forms] == [True] * 3
+        if matrix.w.size:
+            w = matrix.w.copy()
+            w[len(w) // 2] += 1e-6
+            bent = GossipMatrix(matrix.n, matrix.i, matrix.j, w, matrix.diag)
+            forms = (bent, bent.weights, bent.weights.toarray())
+            assert [verify_doubly_stochastic(f) for f in forms] == [False] * 3
 
 
 def test_network_round_at_ten_thousand_nodes_stays_sparse():
