@@ -42,7 +42,7 @@ for t in range(8):
 
 print("\nde-emphasis of a returning node (id 0) with factor 0.25:")
 matrix = build_gossip_matrix(connectivity(state, cfg.radius), np.ones(14, dtype=bool))
-scaled = deemphasize_rejoined(matrix, [0], 0.25)
+scaled = deemphasize_rejoined(matrix, np.arange(14) == 0, 0.25)
 print("  still doubly stochastic:", verify_doubly_stochastic(scaled, 1e-9))
 print("  node 0 row before:", np.round(matrix.weights.toarray()[0, :5], 4))
 print("  node 0 row after: ", np.round(scaled.weights.toarray()[0, :5], 4))

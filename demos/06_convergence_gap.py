@@ -28,13 +28,12 @@ for dropout in (0.0, 0.1, 0.2):
                 mobility=MobilityConfig(radius=1500.0),
                 churn=ChurnConfig(dropout_p=dropout, rate=1.0),
                 offline_training=False,
-                wtilde_mode="weighted",
             ),
             partition=PartitionConfig(scheme="dirichlet", alpha=10.0),
             suite=SuiteSpec(reg=0.5),
         )
         suite = build_problem_suite(cfg)
-        finals.append(run_simulation(cfg.sim, suite)[-1].dist_wtilde_sq)
+        finals.append(run_simulation(cfg.sim, suite)[-1].dist_wbar_sq)
     print(f"  dropout {dropout:4.0%}: {np.mean(finals):.4f}")
 
 print("\nanalytic staleness floor per round, eta=0.001 (late in the decay):")

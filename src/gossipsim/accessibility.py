@@ -121,25 +121,14 @@ def rounds_since_accessible(state: AccessibilityState, t: int, i: int) -> int:
 
 
 def accessible_mask(n: int, accessible) -> np.ndarray:
-    """Boolean length-``n`` mask of the accessible nodes.
-
-    ``accessible`` is a boolean mask (returned as is), or a set or array
-    of integer node ids.  Ids outside [0, n) are rejected instead of
-    wrapping around through negative indexing, and fractional ids instead
-    of being truncated.
-    """
-    if isinstance(accessible, (set, frozenset)):
-        accessible = list(accessible)
-    arr = np.asarray(accessible)
-    if arr.dtype == bool:
-        if arr.shape != (n,):
-            raise ValueError("boolean accessibility mask has wrong length")
-        return arr
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError(f"node ids must be integers, got {arr.dtype}")
-    ids = arr.astype(int)
-    if np.any((ids < 0) | (ids >= n)):
-        raise ValueError(f"node ids must lie in [0, {n})")
-    mask = np.zeros(n, dtype=bool)
-    mask[ids] = True
+    """``accessible`` as a boolean mask of shape ``(n,)``, the one form a
+    round's split into accessible and inaccessible nodes takes.  Anything
+    else (sets, lists or arrays of node ids, a mask of the wrong length)
+    is rejected."""
+    mask = np.asarray(accessible)
+    if mask.dtype != bool or mask.shape != (n,):
+        raise ValueError(
+            f"accessibility must be a boolean mask of shape ({n},), not node ids: "
+            f"got {mask.dtype} of shape {mask.shape}"
+        )
     return mask

@@ -50,6 +50,9 @@ SUMMARY_COLUMNS = (
     "final_mean_loss_mean", "final_mean_loss_std",
 )
 
+_NONNEGATIVE_COLUMNS = ("dist_wbar_sq", "dist_wtilde_sq", "div_lhs", "div_rhs_main",
+                        "div_rhs_appendix", "beta_t", "gap_term", "gamma")
+
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
@@ -303,9 +306,9 @@ def cmd_check(out_dir) -> int:
             first_bad.setdefault("finite values", bad)
         for row in rows:
             where = f"{trace} t={row.t}"
-            if min(row.dist_wbar_sq, row.dist_wtilde_sq, row.div_lhs, row.div_rhs_main,
-                   row.div_rhs_appendix, row.beta_t, row.gap_term, row.gamma) < 0:
-                first_bad.setdefault("nonnegative distances", where)
+            negative = next((c for c in _NONNEGATIVE_COLUMNS if getattr(row, c) < 0), None)
+            if negative is not None:
+                first_bad.setdefault("nonnegative distances", f"{where} column {negative}")
             if row.n1 < 0 or row.n2 < 0 or row.n1 + row.n2 != config.sim.n:
                 first_bad.setdefault("node counts", where)
             if config.sim.eta(row.t) <= 1.0 and row.div_rhs_appendix < row.div_rhs_main:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .accessibility import accessible_mask
-from .objective import node_mean_gradient
+from .objective import _power, node_mean_gradient
 
 __all__ = [
     "TraceRow",
@@ -69,25 +69,16 @@ def full_average(models) -> np.ndarray:
     return _as_models(models).mean(axis=0)
 
 
-def partial_average(models, accessible, mode: str = "literal") -> np.ndarray:
-    """Average that keeps accessible and dropped nodes apart.
-
-    ``literal`` adds the two group means (an empty group contributes
-    zero), which is not a convex combination when both groups are
-    nonempty.  ``weighted`` combines the group means with weights n1/n and
-    n2/n, which equals the full average identically.
-    """
+def partial_average(models, accessible) -> np.ndarray:
+    """Average that keeps accessible and dropped nodes apart: the sum of
+    the two group means (an empty group contributes zero), which is not a
+    convex combination when both groups are nonempty.  Weighting the
+    group means by n1/n and n2/n instead would give the full average."""
     arr = _as_models(models)
     mask = accessible_mask(arr.shape[0], accessible)
-    n1, n2 = int(mask.sum()), int((~mask).sum())
-    mean_in = arr[mask].mean(axis=0) if n1 else np.zeros(arr.shape[1])
-    mean_out = arr[~mask].mean(axis=0) if n2 else np.zeros(arr.shape[1])
-    if mode == "literal":
-        return mean_in + mean_out
-    if mode == "weighted":
-        n = n1 + n2
-        return (n1 / n) * mean_in + (n2 / n) * mean_out
-    raise ValueError(f"unknown partial-average mode {mode!r}")
+    mean_in = arr[mask].mean(axis=0) if mask.any() else np.zeros(arr.shape[1])
+    mean_out = arr[~mask].mean(axis=0) if not mask.all() else np.zeros(arr.shape[1])
+    return mean_in + mean_out
 
 
 def gradient_gap(models, accessible, suite) -> float:
@@ -154,11 +145,11 @@ def convergence_terms(
     beta = (
         eta * smoothness * n1 * mean_inaccessible_norm_sq
         + 4.0 * eta * gamma
-        + 2.0 * n1 * eta**2 * grad_bound_sq
+        + 2.0 * n1 * _power(eta, 2) * grad_bound_sq
         + 2.0
         * n2
         * grad_bound_sq
-        * (2.0 * eta**3 * (1.0 + 1.0 / rate) + 2.0 * strong_convexity * (1.0 - eta) / rate)
+        * (2.0 * _power(eta, 3) * (1.0 + 1.0 / rate) + 2.0 * strong_convexity * (1.0 - eta) / rate)
     ) / n
     return alpha, beta
 
@@ -172,21 +163,15 @@ def gap_term(
     return 2.0 * n2 * grad_bound_sq * 2.0 * strong_convexity * (1.0 - eta) / rate / n
 
 
-def convergence_envelope(trace, initial_dist_sq: float):
-    """Evaluate the distance recursion along a trace.
-
-    ``trace`` is a sequence of TraceRow-like objects (anything with
-    ``alpha_t`` and ``beta_t``) or of (alpha, beta) pairs.  Returns the
-    bound value after each round.  With alpha >= 1 the envelope grows;
-    it is reported as computed, not clamped.
+def convergence_envelope(pairs, initial_dist_sq: float):
+    """Evaluate the distance recursion along a sequence of (alpha, beta)
+    pairs, one per round.  Returns the bound value after each round.
+    With alpha >= 1 the envelope grows; it is reported as computed, not
+    clamped.
     """
     values = []
     bound = float(initial_dist_sq)
-    for row in trace:
-        if hasattr(row, "alpha_t"):
-            alpha, beta = row.alpha_t, row.beta_t
-        else:
-            alpha, beta = row
+    for alpha, beta in pairs:
         bound = alpha * bound + beta
         values.append(bound)
     if not values:

@@ -93,7 +93,6 @@ class SimConfig:
     seed: int = 0
     offline_training: bool = True
     deemphasis: float = 1.0
-    wtilde_mode: str = "literal"
     init_scale: float = 1.0
 
     def __post_init__(self) -> None:
@@ -109,8 +108,6 @@ class SimConfig:
             raise ValueError("seed must be nonnegative")
         if not 0.0 <= self.deemphasis <= 1.0:
             raise ValueError("deemphasis must lie in [0, 1]")
-        if self.wtilde_mode not in ("literal", "weighted"):
-            raise ValueError(f"unknown wtilde_mode {self.wtilde_mode!r}")
         if self.init_scale < 0:
             raise ValueError("init_scale must be nonnegative")
 
@@ -279,7 +276,7 @@ def _round_trace(result: RoundResult, suite: ProblemSuite, cfg: SimConfig,
     n2 = n - n1
     models_after = result.state.models
     wbar_after = full_average(models_after)
-    wtilde_after = partial_average(models_after, part, cfg.wtilde_mode)
+    wtilde_after = partial_average(models_after, part)
 
     dropped = ~part
     if n2:
@@ -341,6 +338,7 @@ def run_simulation(cfg: SimConfig, suite: ProblemSuite, observer=None):
         rows.append(_round_trace(result, suite, cfg, grad_bound_sq))
         if observer is not None:
             observer(result)
-    for row, bound in zip(rows, convergence_envelope(rows, initial_dist)):
+    envelope = convergence_envelope([(r.alpha_t, r.beta_t) for r in rows], initial_dist)
+    for row, bound in zip(rows, envelope):
         row.thm1_bound = bound
     return rows

@@ -77,7 +77,7 @@ def build_gossip_matrix(adj, accessible) -> GossipMatrix:
 
     Args:
         adj: Adjacency with ``n`` nodes and links ``pairs``.
-        accessible: boolean mask of length n, or a set or array of node ids.
+        accessible: boolean mask of shape (n,).
     """
     n = adj.n
     mask = accessible_mask(n, accessible)
@@ -141,8 +141,7 @@ def deemphasize_rejoined(matrix: GossipMatrix, nodes, factor: float) -> GossipMa
     ``factor`` in [0, 1], returning the removed mass to the diagonals so
     the matrix stays symmetric doubly stochastic.  A link between two
     rejoining nodes is scaled once for each of them, by ``factor**2``.
-
-    ``nodes`` is a boolean mask or a set or array of node ids."""
+    ``nodes`` is a boolean mask of shape (n,)."""
     if not 0.0 <= factor <= 1.0:
         raise ValueError("factor must lie in [0, 1]")
     rejoining = accessible_mask(matrix.n, nodes)

@@ -37,6 +37,7 @@ reference the pooled functions are tested against.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -187,6 +188,15 @@ def per_sample_grad_sq_norms(p: NodeProblem, w) -> np.ndarray:
     return _grad_sq_norms(p, w, _sq_norms(p.features))
 
 
+def _power(x: float, k: int) -> float:
+    """``x**k`` of a positive Python float, with the same bits where it is
+    finite, but infinity where Python's ``**`` raises OverflowError."""
+    try:
+        return x**k
+    except OverflowError:
+        return math.inf
+
+
 def _sq_norms(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x, x)
 
@@ -200,7 +210,7 @@ def _grad_sq_norms(p: NodeProblem, w, xx: np.ndarray) -> np.ndarray:
     # grad_j = outer(dz_j, x_j) + reg * W and <outer(dz_j, x_j), W> = dz_j . z_j, so
     # |grad_j|^2 = dz_j . (dz_j |x_j|^2 + 2 reg z_j) + reg^2 |W|^2
     data_terms = np.einsum("ij,ij->i", dz, dz * xx[:, None] + 2.0 * p.reg * z)
-    return data_terms + p.reg**2 * np.vdot(mat, mat)
+    return data_terms + _power(p.reg, 2) * np.vdot(mat, mat)
 
 
 @dataclass(frozen=True)
@@ -253,13 +263,16 @@ def pool_shards(problems) -> PooledShards:
 
 
 def _pooled(source) -> PooledShards:
-    """The pooled view of a suite (cached on it), the view itself, or that
-    of a sequence of node problems (built on each call)."""
+    """The pooled view of a suite (cached on it), or the view itself.
+    Pool a list of node problems with :func:`pool_shards` first."""
     if isinstance(source, ProblemSuite):
         return source.pooled
     if isinstance(source, PooledShards):
         return source
-    return pool_shards(source)
+    raise TypeError(
+        f"expected a ProblemSuite or PooledShards, got {type(source).__name__}; "
+        "pool node problems with pool_shards first"
+    )
 
 
 def _model_stack(pool: PooledShards, models) -> tuple[np.ndarray, bool]:
@@ -297,9 +310,9 @@ def _output_blocks(pool: PooledShards, stack: np.ndarray):
 def global_loss(problems, models):
     """Unweighted mean of the node losses (the network objective).
 
-    ``problems`` is a ProblemSuite or a sequence of node problems.
-    ``models`` is one (d,) model, giving a float, or a (k, d) stack,
-    giving an array of k values.
+    ``problems`` is a ProblemSuite or its PooledShards.  ``models`` is one
+    (d,) model, giving a float, or a (k, d) stack, giving an array of k
+    values.
     """
     pool = _pooled(problems)
     stack, single = _model_stack(pool, models)
@@ -440,7 +453,7 @@ def global_optimum(problems, grad_tol: float = 1e-10, max_iter: int = 200_000):
     """Minimizer and value of the mean objective (see :func:`_minimize`)."""
     problems = list(problems)
     w = _minimize(problems, grad_tol, max_iter)
-    return w, global_loss(problems, w)
+    return w, global_loss(pool_shards(problems), w)
 
 
 def local_optimum(p: NodeProblem, grad_tol: float = 1e-10, max_iter: int = 200_000):
@@ -450,14 +463,17 @@ def local_optimum(p: NodeProblem, grad_tol: float = 1e-10, max_iter: int = 200_0
 
 
 def heterogeneity_gap(problems, w_star, local_values, weights: str = "data") -> float:
-    """Nonnegative data-heterogeneity measure: the gap between the global
-    optimal value and the weighted sum of per-node optimal values.
+    """Data-heterogeneity measure: the gap between the global optimal
+    value and the weighted sum of per-node optimal values.
 
-    ``problems`` is as in :func:`global_loss` or a pooled view.
-    ``weights="data"`` weighs node i by its data share m_i / sum_j m_j;
-    ``weights="uniform"`` uses 1/n.  Identical shards give 0; more skewed
-    shards give larger values.  Tiny negative float residue (>= -1e-10)
-    is clamped to 0.
+    ``problems`` is as in :func:`global_loss`.  ``weights="uniform"``
+    weighs each node by 1/n.  The global objective is the unweighted mean
+    of the node losses, so that gap is the mean of F_i(w*) - F_i^*, a mean
+    of nonnegative terms.  ``weights="data"`` weighs node i by its data
+    share m_i / sum_j m_j, and that gap has no sign guarantee: it goes
+    negative when small shards have large optimal values.  Identical
+    shards give 0.  Tiny negative float residue (>= -1e-10) is clamped
+    to 0.
     """
     pool = _pooled(problems)
     if weights == "data":

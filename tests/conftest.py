@@ -3,8 +3,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# every property test is reproducible and leaves no example database
+# behind; a test sets only its own max_examples
+settings.register_profile("gossipsim", derandomize=True, database=None, deadline=None)
+settings.load_profile("gossipsim")
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -117,11 +117,12 @@ def dense_metropolis(edges: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def dense_deemphasis(weights: np.ndarray, nodes, factor: float) -> np.ndarray:
-    """Scale each rejoining node's links by ``factor``, one node after
-    another, moving the removed mass onto both diagonals."""
+    """Scale the links of each node in the rejoining mask ``nodes`` by
+    ``factor``, one node after another, moving the removed mass onto both
+    diagonals."""
     w = weights.copy()
     idx = np.arange(w.shape[0])
-    for r in sorted(int(i) for i in nodes):
+    for r in np.flatnonzero(nodes):
         off = w[r].copy()
         off[r] = 0.0
         removed = (1.0 - factor) * off

@@ -76,7 +76,6 @@ def _gap_config(seed: int, dropout_p: float, rate: float) -> RunConfig:
         mobility=FULL_GRAPH,
         churn=ChurnConfig(dropout_p=dropout_p, rate=rate),
         offline_training=False,
-        wtilde_mode="weighted",
         partition=PartitionConfig(scheme="dirichlet", alpha=10.0),
         suite=SuiteSpec(reg=0.5),
     )
@@ -167,10 +166,11 @@ def test_criterion_5_heterogeneity_gap_behavior():
     x = rng.normal(size=(20, 10))
     y = rng.normal(size=20)
     identical = [NodeProblem(x, y, reg=0.1) for _ in range(14)]
-    from gossipsim.objective import global_optimum, heterogeneity_gap, local_optimum
+    from gossipsim.objective import global_optimum, heterogeneity_gap, local_optimum, pool_shards
 
     w_star, _ = global_optimum(identical)
-    same_gap = heterogeneity_gap(identical, w_star, [local_optimum(p)[1] for p in identical])
+    same_gap = heterogeneity_gap(pool_shards(identical), w_star,
+                                 [local_optimum(p)[1] for p in identical])
 
     alphas = [0.5, 1.0, 10.0, math.inf]
     means = []
@@ -237,7 +237,7 @@ def test_criterion_7_gap_reproduction_in_dropout_rate():
             cfg = _gap_config(seed, p, rate=1.0)
             suite = build_problem_suite(cfg)
             rows = run_simulation(cfg.sim, suite)
-            vals.append(rows[-1].dist_wtilde_sq)
+            vals.append(rows[-1].dist_wbar_sq)
             if p == 0.0:
                 pooled_x = np.vstack([q.features for q in suite.problems])
                 pooled_y = np.concatenate([q.targets for q in suite.problems])
@@ -267,7 +267,7 @@ def test_criterion_8_duration_parameter_ordering():
             cfg = _gap_config(seed, dropout_p=0.1, rate=rate)
             suite = build_problem_suite(cfg)
             rows = run_simulation(cfg.sim, suite)
-            vals.append(rows[-1].dist_wtilde_sq)
+            vals.append(rows[-1].dist_wbar_sq)
         means[rate] = float(np.mean(vals))
     analytic = gap_monotonicity_check(0.1, 0.1, 5.0, 14, [0.2, 0.3, 0.5, 1.0])
     _report(

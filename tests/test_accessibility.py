@@ -149,7 +149,7 @@ def test_invariant_rejoin_map_matches_flags():
         assert np.all(st.last_accessible <= t)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(
     n=st.integers(1, 30),
     dropout_p=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),

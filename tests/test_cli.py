@@ -60,6 +60,14 @@ def test_run_rejects_unknown_field(tmp_path, capsys):
     assert "learning_rate" in capsys.readouterr().err
 
 
+def test_run_rejects_the_removed_wtilde_mode_field(tmp_path, capsys):
+    cfg = _write_config(tmp_path, dict(SMALL, wtilde_mode="literal"))
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "unknown field 'wtilde_mode'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_rejects_malformed_json_with_line_info(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"n": 4,,}')
@@ -94,7 +102,7 @@ def test_config_alpha_alone_may_be_infinite(alpha):
 
 ECHO_KEYS = {
     "n", "rounds", "eta", "local_epochs", "batch_size", "mobility", "churn", "seed",
-    "offline_training", "deemphasis", "wtilde_mode", "init_scale", "partition", "suite",
+    "offline_training", "deemphasis", "init_scale", "partition", "suite",
 }
 ECHO_SECTION_KEYS = {
     "eta": {"kind", "eta0"},
@@ -111,7 +119,7 @@ ECHO_SECTION_KEYS = {
     {"partition": {"alpha": "inf"}},
     {"suite": {"target_curvature": None}},
     {"eta": {"kind": "decay", "eta0": 0.05}},
-    {"wtilde_mode": "weighted"},
+    {"churn": {"lambda": 2.0}},
 ])
 def test_config_echo_round_trips(raw):
     config = run_config_from_dict(raw)
@@ -126,7 +134,7 @@ def test_spawn_seeded_keeps_every_other_field():
     base = run_config_from_dict({
         "n": 5, "rounds": 7, "eta": {"kind": "decay", "eta0": 0.3}, "local_epochs": 3,
         "batch_size": 9, "seed": 1, "offline_training": False, "deemphasis": 0.5,
-        "wtilde_mode": "weighted", "init_scale": 0.2, "churn": {"lambda": 2.0},
+        "init_scale": 0.2, "churn": {"lambda": 2.0},
     })
     spawned = spawn_seeded(base, 11)
     assert spawned.sim.seed == 11
@@ -172,6 +180,8 @@ OVERFLOWING = [
     ({"n": 4, "rounds": 2, "churn": {"dropout_p": 1, "lambda": 5e-324}}, "t=0 column beta_t"),
     ({"n": 4, "rounds": 60, "eta": {"eta0": 50}}, "t=45 column dist_wbar_sq"),
     ({"n": 4, "rounds": 2, "suite": {"separation": 1e200}}, None),
+    ({"n": 4, "rounds": 2, "eta": 1e120}, "t=0 column dist_wbar_sq"),
+    ({"n": 4, "rounds": 2, "suite": {"reg": 1e160}}, "t=0 column dist_wbar_sq"),
 ]
 
 
@@ -331,11 +341,26 @@ def test_check_names_the_first_failing_row_of_each_check(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", "--out", str(out)]) == EXIT_RUNTIME
     report = capsys.readouterr().out
-    for name in ("nonnegative distances", "node counts", "bound constant ordering",
-                 "zero gap at full participation"):
+    for name in ("node counts", "bound constant ordering", "zero gap at full participation"):
         line = next(line for line in report.splitlines() if f"FAIL  {name}:" in line)
         assert line.endswith(f"{trace} t=1"), line
+    assert (f"FAIL  nonnegative distances: negative value in {trace} t=1 column dist_wbar_sq"
+            in report)
     assert f"FAIL  finite values: non-finite value in {trace} t=1 column beta_t" in report
+
+
+def test_check_names_the_negative_column(tmp_path, capsys):
+    # data-weighted gamma has no sign guarantee: on this skewed split of
+    # flat features it is negative, while every other column is not
+    cfg = _write_config(tmp_path, {"seed": 1, "partition": {"alpha": 0.1},
+                                   "suite": {"target_curvature": 0.001}})
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["check", "--out", str(out)]) == EXIT_RUNTIME
+    trace = out / "trace.csv"
+    assert (f"FAIL  nonnegative distances: negative value in {trace} t=0 column gamma"
+            in capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("keep", [0, 2])

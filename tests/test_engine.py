@@ -53,7 +53,7 @@ def test_eta_schedule_values():
     dict(batch_size=0),
     dict(deemphasis=1.5),
     dict(deemphasis=-0.1),
-    dict(wtilde_mode="other"),
+    dict(seed=-1),
     dict(init_scale=-1.0),
 ])
 def test_sim_config_validation(bad):
@@ -257,7 +257,7 @@ def _ragged_suite(kind, sizes, d, classes, rng) -> ProblemSuite:
                         gamma=math.nan, grad_bound_sq=math.nan)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(
     kind=st.sampled_from(["ridge", "softmax"]),
     sizes=st.lists(st.integers(1, 9), min_size=1, max_size=7),

@@ -37,7 +37,7 @@ from oracles import (
     step_mobility_loop,
 )
 
-SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=60)
 
 
 @st.composite
@@ -118,11 +118,11 @@ def test_property_link_set_equals_the_dense_disk_graph(placement):
 
 @st.composite
 def mixing_rounds(draw):
-    """(positions, radius, accessible mask, rejoining ids, factor, models)."""
+    """(positions, radius, accessible mask, rejoining mask, factor, models)."""
     positions, radius = draw(placements())
     n = len(positions)
     mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    rejoined = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    rejoined = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     factor = draw(st.floats(0.0, 1.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     models = rng.normal(scale=10.0, size=(n, draw(st.integers(1, 4))))

@@ -20,6 +20,7 @@ from gossipsim.objective import (
     local_loss,
     local_optimum,
     per_sample_grad_sq_norms,
+    pool_shards,
     suite_digest,
 )
 from oracles import numerical_gradient, ridge_loss_direct, softmax_loss_direct
@@ -158,7 +159,7 @@ def test_gamma_zero_for_identical_shards():
     problems = [NodeProblem(x, y, reg=0.1) for _ in range(5)]
     w_star, _ = global_optimum(problems)
     values = [local_optimum(p)[1] for p in problems]
-    assert heterogeneity_gap(problems, w_star, values) < 1e-8
+    assert heterogeneity_gap(pool_shards(problems), w_star, values) < 1e-8
 
 
 def test_gamma_hand_value_for_disjoint_targets():
@@ -172,7 +173,7 @@ def test_gamma_hand_value_for_disjoint_targets():
     values = [local_optimum(p)[1] for p in (a, b)]
     assert values[0] == pytest.approx(0.0)
     assert values[1] == pytest.approx(2.0 / 11.0)
-    gap = heterogeneity_gap([a, b], w_star, values)
+    gap = heterogeneity_gap(pool_shards([a, b]), w_star, values)
     assert gap == pytest.approx(5.0 / 11.0)
     assert gap > 0
 
@@ -203,7 +204,7 @@ def test_gamma_nonnegative_with_data_weights_at_experiment_scale():
 
 def test_grad_bound_zero_case():
     p = _ridge([[0.0]], [0.0], reg=0.5)
-    assert grad_bound_estimate([p], [np.zeros(1)]) == 0.0
+    assert grad_bound_estimate(pool_shards([p]), [np.zeros(1)]) == 0.0
 
 
 def test_grad_bound_monotone_in_trajectory():
@@ -212,7 +213,7 @@ def test_grad_bound_monotone_in_trajectory():
     traj = [rng.normal(size=3) for _ in range(6)]
     prev = 0.0
     for k in range(1, 7):
-        est = grad_bound_estimate([p], traj[:k])
+        est = grad_bound_estimate(pool_shards([p]), traj[:k])
         assert est >= prev
         prev = est
 
@@ -221,7 +222,7 @@ def test_grad_bound_covers_recorded_per_sample_gradients():
     rng = np.random.default_rng(15)
     p = NodeProblem(rng.normal(size=(9, 3)), rng.normal(size=9), reg=0.2)
     traj = [rng.normal(size=3) for _ in range(5)]
-    bound = grad_bound_estimate([p], traj)
+    bound = grad_bound_estimate(pool_shards([p]), traj)
     for w in traj:
         for j in range(p.m):
             g = local_gradient(p, w, batch=[j])
@@ -246,7 +247,7 @@ def test_per_sample_norms_match_singleton_batches():
 def test_strong_convexity_and_smoothness_inequalities(kind):
     suite = _random_suite(np.random.default_rng(17), kind=kind)
     rng = np.random.default_rng(18)
-    f = lambda w: global_loss(suite.problems, w)
+    f = lambda w: global_loss(suite, w)
     g = lambda w: global_gradient(suite.problems, w)
     for _ in range(1000):
         w = rng.normal(size=suite.dimension)
@@ -264,7 +265,7 @@ def test_global_objective_is_mean_of_locals():
     for _ in range(20):
         w = rng.normal(size=suite.dimension)
         mean_local = np.mean([local_loss(p, w) for p in suite.problems])
-        assert global_loss(suite.problems, w) == pytest.approx(mean_local, abs=1e-12)
+        assert global_loss(suite, w) == pytest.approx(mean_local, abs=1e-12)
         mean_grad = np.mean([local_gradient(p, w) for p in suite.problems], axis=0)
         assert np.allclose(global_gradient(suite.problems, w), mean_grad, atol=1e-12)
 

@@ -43,7 +43,7 @@ from gossipsim.objective import (
 from oracles import ridge_loss_direct, softmax_loss_direct
 
 REL = 1e-12
-SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=60)
 
 
 @st.composite
@@ -77,11 +77,12 @@ def test_global_loss_is_mean_of_local_losses(case, k):
     problems, rng = case
     stack = rng.normal(size=(k, problems[0].dim))
     want = [np.mean([local_loss(p, w) for p in problems]) for w in stack]
-    got = global_loss(problems, stack)
+    pool = pool_shards(problems)
+    got = global_loss(pool, stack)
     assert got.shape == (k,)
     np.testing.assert_allclose(got, want, rtol=REL, atol=0)
     assert global_loss(_suite(problems), stack).tolist() == got.tolist()
-    single = global_loss(problems, stack[0])
+    single = global_loss(pool, stack[0])
     assert isinstance(single, float) and single == got[0]
 
 
@@ -98,7 +99,7 @@ def test_losses_match_the_direct_oracles(case, k):
     for w in rng.normal(size=(k, problems[0].dim)):
         want = [direct(p, w) for p in problems]
         np.testing.assert_allclose([local_loss(p, w) for p in problems], want, rtol=REL, atol=0)
-        assert global_loss(problems, w) == pytest.approx(np.mean(want), rel=REL, abs=0)
+        assert global_loss(pool_shards(problems), w) == pytest.approx(np.mean(want), rel=REL, abs=0)
 
 
 @SETTINGS
@@ -108,9 +109,10 @@ def test_global_accuracy_is_data_weighted_local_accuracy(case, k):
     stack = rng.normal(size=(k, problems[0].dim))
     total = sum(p.m for p in problems)
     want = [sum(local_accuracy(p, w) * p.m for p in problems) / total for w in stack]
-    got = global_accuracy(problems, stack)
+    pool = pool_shards(problems)
+    got = global_accuracy(pool, stack)
     np.testing.assert_allclose(got, want, rtol=REL, atol=0)
-    assert global_accuracy(problems, stack[0]) == got[0]
+    assert global_accuracy(pool, stack[0]) == got[0]
 
 
 @pytest.mark.parametrize("kind", ["ridge", "softmax"])
@@ -150,7 +152,8 @@ def test_grad_bound_is_max_of_per_sample_norms(case, k):
     problems, rng = case
     trajectory = list(rng.normal(size=(k, problems[0].dim)))
     want = 1.1 * max(per_sample_grad_sq_norms(p, w).max() for w in trajectory for p in problems)
-    assert grad_bound_estimate(problems, trajectory) == pytest.approx(want, rel=REL, abs=0)
+    got = grad_bound_estimate(pool_shards(problems), trajectory)
+    assert got == pytest.approx(want, rel=REL, abs=0)
 
 
 @SETTINGS
@@ -161,7 +164,7 @@ def test_node_mean_gradient_matches_local_gradients(case):
     grads = [local_gradient(p, w) for p, w in zip(problems, points)]
     want = np.mean(grads, axis=0)
     scale = np.mean([np.linalg.norm(g) for g in grads])
-    got = node_mean_gradient(problems, points)
+    got = node_mean_gradient(pool_shards(problems), points)
     assert np.linalg.norm(got - want) <= REL * scale
 
 
@@ -235,6 +238,12 @@ def test_pooling_rejects_mixed_problems_and_wrong_model_shapes():
     with pytest.raises(ValueError):
         pool_shards([NodeProblem(x, y, reg=0.1), NodeProblem(x, y, reg=0.2)])
     with pytest.raises(ValueError):
-        global_loss([NodeProblem(x, y, reg=0.1)], np.zeros((2, 3)))
+        global_loss(pool_shards([NodeProblem(x, y, reg=0.1)]), np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        node_mean_gradient([NodeProblem(x, y, reg=0.1)], np.zeros((2, 2)))
+        node_mean_gradient(pool_shards([NodeProblem(x, y, reg=0.1)]), np.zeros((2, 2)))
+
+
+def test_a_list_of_node_problems_is_not_pooled_on_the_fly():
+    problem = NodeProblem(np.ones((2, 2)), np.zeros(2), reg=0.1)
+    with pytest.raises(TypeError, match="list"):
+        global_loss([problem], np.zeros(2))
