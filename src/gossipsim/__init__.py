@@ -28,7 +28,6 @@ from .diagnostics import (
     convergence_terms,
     distance_to_optimum,
     full_average,
-    gap_monotonicity_check,
     gap_term,
     gradient_gap,
     gradient_gap_bound,
@@ -71,7 +70,6 @@ from .objective import (
     global_accuracy,
     global_gradient,
     global_loss,
-    global_optimum,
     grad_bound_estimate,
     heterogeneity_gap,
     local_gradient,

@@ -40,7 +40,7 @@ class ChurnConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.dropout_p <= 1.0:
             raise ValueError("dropout_p must lie in [0, 1]")
-        if self.rate <= 0.0:
+        if not self.rate > 0.0:
             raise ValueError("rate must be positive")
 
 
@@ -75,7 +75,7 @@ def init_accessibility(n: int) -> AccessibilityState:
 def absence_duration(rate: float, rng: np.random.Generator) -> float:
     """One continuous exponential absence draw with the given rate (mean
     1/rate), before discretization to whole rounds."""
-    if rate <= 0.0:
+    if not rate > 0.0:
         raise ValueError("rate must be positive")
     return float(rng.exponential(1.0 / rate))
 

@@ -301,6 +301,9 @@ def cmd_check(out_dir) -> int:
         if len(rows) != config.sim.rounds:
             first_bad.setdefault("row count",
                                  f"{trace} ({len(rows)} rows, {config.sim.rounds} rounds)")
+        stray = next((k for k, row in enumerate(rows) if row.t != k), None)
+        if stray is not None:
+            first_bad.setdefault("row count", f"{trace} row {stray} (t={rows[stray].t})")
         bad = _first_nonfinite(trace, rows, config)
         if bad is not None:
             first_bad.setdefault("finite values", bad)
@@ -319,7 +322,7 @@ def cmd_check(out_dir) -> int:
             bound_hold += row.div_lhs <= row.div_rhs_appendix
 
     for name, passed, failed in (
-        ("row count", "one row per round", "wrong row count in"),
+        ("row count", "one row per round, in round order", "wrong rows in"),
         ("finite values", "every column finite", "non-finite value in"),
         ("nonnegative distances", "all distance and bound columns nonnegative",
          "negative value in"),

@@ -59,7 +59,7 @@ class SuiteSpec:
                 raise ValueError(f"{name} must be at least {low}")
         for name in ("separation", "reg", "target_curvature"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value is not None and not value > 0:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -72,7 +72,7 @@ class RunConfig:
 
 def _float(v) -> float:
     """A finite number.  JSON's NaN and Infinity literals are rejected:
-    the range checks downstream cannot see a NaN."""
+    most range checks downstream admit an infinity."""
     if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise ValueError(f"expected a number, got {v!r}")
     x = float(v)

@@ -49,7 +49,7 @@ class PartitionConfig:
     def __post_init__(self) -> None:
         if self.scheme not in ("iid", "dirichlet"):
             raise ValueError(f"unknown partition scheme {self.scheme!r}")
-        if self.scheme == "dirichlet" and math.isfinite(self.alpha) and self.alpha <= 0:
+        if self.scheme == "dirichlet" and not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if self.scheme == "iid" and self.per_node < 0:
             raise ValueError("per_node must be nonnegative")
@@ -80,7 +80,7 @@ def synthetic_blobs(
         raise ValueError("need at least two classes")
     if total < classes:
         raise ValueError("need at least one sample per class")
-    if separation <= 0:
+    if not separation > 0:
         raise ValueError("separation must be positive")
 
     means = _spread_means(classes, d, separation, rng)

@@ -26,7 +26,6 @@ __all__ = [
     "convergence_terms",
     "convergence_envelope",
     "gap_term",
-    "gap_monotonicity_check",
     "distance_to_optimum",
     "write_trace_csv",
     "read_trace_csv",
@@ -177,26 +176,6 @@ def convergence_envelope(pairs, initial_dist_sq: float):
     if not values:
         raise ValueError("trace must be nonempty")
     return values
-
-
-def gap_monotonicity_check(
-    eta: float, strong_convexity: float, grad_bound_sq: float, n: int, rates
-) -> bool:
-    """True iff the eta-free beta component strictly grows with the
-    dropped count over 0..n and strictly shrinks as the rejoin rate grows
-    over the supplied grid."""
-    rates = sorted(float(r) for r in rates)
-    if len(rates) < 2 or grad_bound_sq <= 0 or not 0 < eta < 1:
-        return False
-    for rate in rates:
-        vals = [gap_term(n2, eta, strong_convexity, grad_bound_sq, rate, n) for n2 in range(n + 1)]
-        if not all(b > a for a, b in zip(vals, vals[1:])):
-            return False
-    for n2 in range(1, n + 1):
-        vals = [gap_term(n2, eta, strong_convexity, grad_bound_sq, rate, n) for rate in rates]
-        if not all(b < a for a, b in zip(vals, vals[1:])):
-            return False
-    return True
 
 
 def distance_to_optimum(w, w_star) -> float:

@@ -70,7 +70,7 @@ class EtaSchedule:
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "decay"):
             raise ValueError(f"unknown eta schedule {self.kind!r}")
-        if self.eta0 <= 0:
+        if not self.eta0 > 0:
             raise ValueError("eta must be positive")
 
     def __call__(self, t: int) -> float:
@@ -108,7 +108,7 @@ class SimConfig:
             raise ValueError("seed must be nonnegative")
         if not 0.0 <= self.deemphasis <= 1.0:
             raise ValueError("deemphasis must lie in [0, 1]")
-        if self.init_scale < 0:
+        if not self.init_scale >= 0:
             raise ValueError("init_scale must be nonnegative")
 
 

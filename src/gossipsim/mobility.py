@@ -41,15 +41,15 @@ class MobilityConfig:
     step: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.area_width <= 0 or self.area_height <= 0:
+        if not (self.area_width > 0 and self.area_height > 0):
             raise ValueError("area_width and area_height must be positive")
         if not 0 < self.speed_min <= self.speed_max:
             raise ValueError("speeds must satisfy 0 < speed_min <= speed_max")
-        if self.pause < 0:
+        if not self.pause >= 0:
             raise ValueError("pause must be nonnegative")
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("radius must be positive")
-        if self.step <= 0:
+        if not self.step > 0:
             raise ValueError("step must be positive")
 
 
@@ -161,7 +161,7 @@ def connectivity(state: MobilityState, radius: float) -> Adjacency:
     A KD-tree proposes the pairs within a slightly larger radius, and the
     exact squared-distance test decides, so no pair on the boundary
     depends on the tree's own rounding."""
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
     pairs = cKDTree(state.positions).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
     i, j = pairs.T.copy()

@@ -29,9 +29,8 @@ slice of one product over the block, because a matrix product's last
 bits depend on how many rows it has: a model then scores the same
 whichever block it lands in, and alone.  Local SGD runs over the same
 view: :func:`lockstep_gradient` takes one mini-batch gradient of every
-training node at once.  ``local_loss``, ``local_accuracy``,
-``local_gradient`` and ``per_sample_grad_sq_norms`` are the per-node
-reference the pooled functions are tested against.
+training node at once.  ``local_loss`` and ``local_gradient`` are the
+per-node reference the pooled functions are tested against.
 """
 
 from __future__ import annotations
@@ -50,12 +49,9 @@ __all__ = [
     "ProblemSuite",
     "local_loss",
     "local_gradient",
-    "local_accuracy",
-    "per_sample_grad_sq_norms",
     "pool_shards",
     "constants",
     "local_optimum",
-    "global_optimum",
     "global_loss",
     "global_accuracy",
     "global_gradient",
@@ -88,7 +84,7 @@ class NodeProblem:
             raise ValueError(f"unknown objective kind {self.kind!r}")
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ValueError("features must be a nonempty (m, d) matrix")
-        if self.reg <= 0:
+        if not self.reg > 0:
             raise ValueError("reg must be positive for strong convexity")
         labels = self.kind == "softmax"
         if labels and self.n_classes < 2:
@@ -175,19 +171,6 @@ def local_gradient(p: NodeProblem, w, batch=None) -> np.ndarray:
     return (np.dot(dz.T, x) / rows.size + p.reg * mat).ravel()
 
 
-def local_accuracy(p: NodeProblem, w) -> float:
-    """Fraction of the node's own samples classified correctly (softmax)."""
-    if p.kind != "softmax":
-        raise ValueError("accuracy is defined for softmax problems only")
-    pred = (p.features @ _weights(p, w).T).argmax(axis=1)
-    return float(np.mean(pred == p.targets))
-
-
-def per_sample_grad_sq_norms(p: NodeProblem, w) -> np.ndarray:
-    """Squared gradient norm of every single-sample batch at ``w``."""
-    return _grad_sq_norms(p, w, _sq_norms(p.features))
-
-
 def _power(x: float, k: int) -> float:
     """``x**k`` of a positive Python float, with the same bits where it is
     finite, but infinity where Python's ``**`` raises OverflowError."""
@@ -202,8 +185,8 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _grad_sq_norms(p: NodeProblem, w, xx: np.ndarray) -> np.ndarray:
-    """:func:`per_sample_grad_sq_norms` given the samples' squared norms
-    ``xx``, which do not depend on the model."""
+    """Squared gradient norm of every single-sample batch at ``w``, given
+    the samples' squared norms ``xx``, which do not depend on the model."""
     mat = _weights(p, w)
     z = p.features @ mat.T
     dz = _sample_dloss(p.kind, z, p.targets)
@@ -409,31 +392,36 @@ def _ridge_solve(problems) -> np.ndarray:
     return np.linalg.solve(h, b / k)
 
 
-def _descend(problems, w0: np.ndarray, grad_tol: float, max_iter: int) -> np.ndarray:
+# Gradient-norm target and iteration cap of the softmax optimum's polish
+_GRAD_TOL = 1e-10
+_MAX_ITER = 200_000
+
+
+def _descend(problems, w0: np.ndarray) -> np.ndarray:
     """Polish with fixed-step full-batch gradient descent until the global
-    gradient norm falls below ``grad_tol``."""
+    gradient norm falls below ``_GRAD_TOL``."""
     smooth, _ = constants(problems)
     w = w0.copy()
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         g = global_gradient(problems, w)
-        if np.linalg.norm(g) < grad_tol:
+        if np.linalg.norm(g) < _GRAD_TOL:
             return w
         w = w - g / smooth
     g = global_gradient(problems, w)
-    if np.linalg.norm(g) >= grad_tol:
+    if np.linalg.norm(g) >= _GRAD_TOL:
         raise RuntimeError(
-            f"optimum solver did not reach |grad| < {grad_tol:g} "
-            f"within {max_iter} iterations (residual {np.linalg.norm(g):g})"
+            f"optimum solver did not reach |grad| < {_GRAD_TOL:g} "
+            f"within {_MAX_ITER} iterations (residual {np.linalg.norm(g):g})"
         )
     return w
 
 
-def _minimize(problems, grad_tol: float = 1e-10, max_iter: int = 200_000) -> np.ndarray:
+def _minimize(problems) -> np.ndarray:
     """Minimizer of the mean of the node losses.
 
     Ridge uses the exact normal-equation solve.  Softmax minimizes with
     L-BFGS and polishes with fixed-step descent until the gradient norm is
-    below ``grad_tol``; failure to converge within the cap is an error.
+    below ``_GRAD_TOL``; failure to converge within the cap is an error.
     """
     if problems[0].kind == "ridge":
         return _ridge_solve(problems)
@@ -446,19 +434,12 @@ def _minimize(problems, grad_tol: float = 1e-10, max_iter: int = 200_000) -> np.
         method="L-BFGS-B",
         options={"maxiter": 5000, "gtol": 1e-12, "ftol": 0.0},
     )
-    return _descend(problems, res.x, grad_tol, max_iter)
+    return _descend(problems, res.x)
 
 
-def global_optimum(problems, grad_tol: float = 1e-10, max_iter: int = 200_000):
-    """Minimizer and value of the mean objective (see :func:`_minimize`)."""
-    problems = list(problems)
-    w = _minimize(problems, grad_tol, max_iter)
-    return w, global_loss(pool_shards(problems), w)
-
-
-def local_optimum(p: NodeProblem, grad_tol: float = 1e-10, max_iter: int = 200_000):
+def local_optimum(p: NodeProblem):
     """Minimizer and value of one node's own loss."""
-    w = _minimize([p], grad_tol, max_iter)
+    w = _minimize([p])
     return w, local_loss(p, w)
 
 

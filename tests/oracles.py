@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from first principles (central
 differences, inline gradient formulas) and never calls the code paths it
-is used to verify.  The one library call is the per-node
+is used to verify.  There are two library calls: the per-node
 ``local_gradient`` in :func:`local_sgd_loop`, which is itself held to
-central differences.
+central differences, and ``gap_term`` in :func:`gap_monotonicity_check`,
+whose monotonicity is what that function checks.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 
+from gossipsim.diagnostics import gap_term
 from gossipsim.objective import local_gradient
 
 
@@ -40,6 +42,50 @@ def softmax_loss_direct(x: np.ndarray, y: np.ndarray, reg: float, w: np.ndarray,
         z = logits[j] - logits[j].max()
         total += np.log(np.exp(z).sum()) - z[int(y[j])]
     return float(total / len(y) + reg / 2 * (w @ w))
+
+
+def local_accuracy(p, w: np.ndarray) -> float:
+    """Fraction of a softmax node's samples whose largest logit in
+    ``x @ W.T`` is their label, W being ``w`` as a (classes, d) matrix."""
+    pred = (p.features @ w.reshape(p.n_classes, -1).T).argmax(axis=1)
+    return float(np.mean(pred == p.targets))
+
+
+def per_sample_grad_sq_norms(p, w: np.ndarray) -> np.ndarray:
+    """Squared norm of each single-sample gradient at ``w``, every gradient
+    written out in full: (x.w - y) x + reg w for ridge, and
+    outer(softmax(W x) - onehot(y), x) + reg W for softmax."""
+    out = np.empty(p.m)
+    for j in range(p.m):
+        x, y = p.features[j], p.targets[j]
+        if p.kind == "ridge":
+            g = (x @ w - y) * x + p.reg * w
+        else:
+            mat = w.reshape(p.n_classes, -1)
+            z = mat @ x
+            e = np.exp(z - z.max())
+            dz = e / e.sum()
+            dz[int(y)] -= 1.0
+            g = (np.outer(dz, x) + p.reg * mat).ravel()
+        out[j] = g @ g
+    return out
+
+
+def gap_monotonicity_check(eta: float, strong_convexity: float, grad_bound_sq: float, n: int,
+                           rates) -> bool:
+    """True iff ``gap_term`` strictly grows with the dropped count over
+    0..n at every rate of the grid, and strictly shrinks as the rejoin
+    rate grows over the grid at every dropped count from 1 to n."""
+    rates = sorted(float(r) for r in rates)
+    for rate in rates:
+        vals = [gap_term(n2, eta, strong_convexity, grad_bound_sq, rate, n) for n2 in range(n + 1)]
+        if not all(b > a for a, b in zip(vals, vals[1:])):
+            return False
+    for n2 in range(1, n + 1):
+        vals = [gap_term(n2, eta, strong_convexity, grad_bound_sq, rate, n) for rate in rates]
+        if not all(b < a for a, b in zip(vals, vals[1:])):
+            return False
+    return True
 
 
 def pooled_sgd_ridge(

@@ -23,16 +23,13 @@ from gossipsim.accessibility import ChurnConfig, absence_duration
 from gossipsim.cli import main as cli_main
 from gossipsim.config import RunConfig, SuiteSpec, build_problem_suite
 from gossipsim.dataparts import PartitionConfig, partition, synthetic_blobs
-from gossipsim.diagnostics import (
-    convergence_envelope,
-    gap_monotonicity_check,
-    gradient_gap,
-)
+from gossipsim.diagnostics import convergence_envelope, gradient_gap
 from gossipsim.engine import EtaSchedule, SimConfig, run_simulation
 from gossipsim.gossip import build_gossip_matrix, verify_doubly_stochastic
 from gossipsim.mobility import Adjacency, MobilityConfig
 from gossipsim.objective import NodeProblem, build_suite, local_gradient
 from oracles import (
+    gap_monotonicity_check,
     numerical_gradient,
     pooled_sgd_ridge,
     ridge_loss_direct,
@@ -165,12 +162,7 @@ def test_criterion_5_heterogeneity_gap_behavior():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(20, 10))
     y = rng.normal(size=20)
-    identical = [NodeProblem(x, y, reg=0.1) for _ in range(14)]
-    from gossipsim.objective import global_optimum, heterogeneity_gap, local_optimum, pool_shards
-
-    w_star, _ = global_optimum(identical)
-    same_gap = heterogeneity_gap(pool_shards(identical), w_star,
-                                 [local_optimum(p)[1] for p in identical])
+    same_gap = build_suite(x, y, [np.arange(20)] * 14, reg=0.1).gamma
 
     alphas = [0.5, 1.0, 10.0, math.inf]
     means = []

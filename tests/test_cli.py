@@ -375,6 +375,24 @@ def test_check_fails_on_missing_rows_without_crashing(tmp_path, capsys, keep):
     assert "FAIL  row count" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("order, row, t", [("zeros", 1, 0), ("swapped", 1, 2)])
+def test_check_fails_on_rounds_out_of_order(tmp_path, capsys, order, row, t):
+    cfg = _write_config(tmp_path, SMALL)
+    out = tmp_path / "run"
+    main(["run", "--config", cfg, "--out", str(out)])
+    trace = out / "trace.csv"
+    header, *lines = trace.read_text().splitlines()
+    if order == "zeros":
+        lines = ["0" + line[line.index(","):] for line in lines]
+    else:
+        lines[1], lines[2] = lines[2], lines[1]
+    trace.write_text("\n".join([header, *lines]) + "\n")
+    capsys.readouterr()
+    assert main(["check", "--out", str(out)]) == EXIT_RUNTIME
+    assert (f"FAIL  row count: wrong rows in {trace} row {row} (t={t})"
+            in capsys.readouterr().out)
+
+
 def _cut_row(run):
     trace = run / "trace.csv"
     lines = trace.read_text().splitlines()

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipsim.accessibility import ChurnConfig
+from gossipsim.accessibility import ChurnConfig, absence_duration
 from gossipsim.config import RunConfig, SuiteSpec, build_problem_suite
-from gossipsim.dataparts import PartitionConfig
+from gossipsim.dataparts import PartitionConfig, synthetic_blobs
 from gossipsim.diagnostics import write_trace_csv
 from gossipsim.engine import (
     EtaSchedule,
@@ -19,7 +19,7 @@ from gossipsim.engine import (
     init_state,
     run_simulation,
 )
-from gossipsim.mobility import MobilityConfig
+from gossipsim.mobility import MobilityConfig, connectivity, init_mobility
 from gossipsim.objective import NodeProblem, ProblemSuite, local_gradient
 from oracles import local_sgd_loop, pooled_sgd_ridge
 
@@ -66,6 +66,36 @@ def test_eta_schedule_validation():
         EtaSchedule("constant", 0.0)
     with pytest.raises(ValueError):
         EtaSchedule("linear", 0.1)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: EtaSchedule(eta0=NAN), "eta must be positive"),
+    (lambda: ChurnConfig(rate=NAN), "rate must be positive"),
+    (lambda: SimConfig(init_scale=NAN), "init_scale must be nonnegative"),
+    (lambda: MobilityConfig(area_width=NAN), "area_width and area_height must be positive"),
+    (lambda: MobilityConfig(area_height=NAN), "area_width and area_height must be positive"),
+    (lambda: MobilityConfig(pause=NAN), "pause must be nonnegative"),
+    (lambda: MobilityConfig(radius=NAN), "radius must be positive"),
+    (lambda: MobilityConfig(step=NAN), "step must be positive"),
+    (lambda: SuiteSpec(reg=NAN), "reg must be positive"),
+    (lambda: SuiteSpec(separation=NAN), "separation must be positive"),
+    (lambda: SuiteSpec(target_curvature=NAN), "target_curvature must be positive"),
+    (lambda: PartitionConfig(alpha=NAN), "alpha must be positive"),
+    (lambda: NodeProblem(np.ones((1, 1)), np.ones(1), reg=NAN), "reg must be positive"),
+    (lambda: absence_duration(NAN, np.random.default_rng(0)), "rate must be positive"),
+    (lambda: synthetic_blobs(2, 1, 4, NAN, np.random.default_rng(0)),
+     "separation must be positive"),
+    (lambda: connectivity(init_mobility(3, MobilityConfig(), np.random.default_rng(0)), NAN),
+     "radius must be positive"),
+], ids=["eta0", "churn.rate", "init_scale", "area_width", "area_height", "pause", "radius",
+        "step", "suite.reg", "separation", "target_curvature", "alpha", "problem.reg",
+        "absence_duration", "blobs.separation", "connectivity.radius"])
+def test_nan_fails_the_range_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_run_round_increments_round_counter():

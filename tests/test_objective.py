@@ -12,18 +12,15 @@ from gossipsim.objective import (
     constants,
     global_gradient,
     global_loss,
-    global_optimum,
     grad_bound_estimate,
     heterogeneity_gap,
-    local_accuracy,
     local_gradient,
     local_loss,
     local_optimum,
-    per_sample_grad_sq_norms,
     pool_shards,
     suite_digest,
 )
-from oracles import numerical_gradient, ridge_loss_direct, softmax_loss_direct
+from oracles import local_accuracy, numerical_gradient, ridge_loss_direct, softmax_loss_direct
 
 
 def _ridge(x, y, reg=1.0):
@@ -134,15 +131,15 @@ def test_mu_never_exceeds_l():
 
 def test_global_optimum_identity_features():
     p = NodeProblem(np.eye(2), np.array([1.0, 1.0]), reg=1e-6)
-    w_star, _ = global_optimum([p])
+    w_star, _ = local_optimum(p)
     assert np.allclose(w_star, [1.0, 1.0], atol=1e-4)
 
 
 def test_duplicated_node_does_not_move_optimum():
     rng = np.random.default_rng(10)
-    p = NodeProblem(rng.normal(size=(15, 4)), rng.normal(size=15), reg=0.2)
-    w_single, _ = global_optimum([p])
-    w_double, _ = global_optimum([p, p])
+    x, y = rng.normal(size=(15, 4)), rng.normal(size=15)
+    w_single = build_suite(x, y, [np.arange(15)], reg=0.2).w_star
+    w_double = build_suite(x, y, [np.arange(15)] * 2, reg=0.2).w_star
     assert np.allclose(w_single, w_double, atol=1e-10)
 
 
@@ -156,18 +153,17 @@ def test_gamma_zero_for_identical_shards():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(10, 3))
     y = rng.normal(size=10)
-    problems = [NodeProblem(x, y, reg=0.1) for _ in range(5)]
-    w_star, _ = global_optimum(problems)
-    values = [local_optimum(p)[1] for p in problems]
-    assert heterogeneity_gap(pool_shards(problems), w_star, values) < 1e-8
+    suite = build_suite(x, y, [np.arange(10)] * 5, reg=0.1)
+    values = [local_optimum(p)[1] for p in suite.problems]
+    assert heterogeneity_gap(pool_shards(suite.problems), suite.w_star, values) < 1e-8
 
 
 def test_gamma_hand_value_for_disjoint_targets():
     # nodes fit y=0 and y=2 on x=1 with reg=0.1; closed forms give
     # local values 0 and 2/11 and a pooled value of 6/11, so the gap is 5/11
-    a = _ridge([[1.0]], [0.0], reg=0.1)
-    b = _ridge([[1.0]], [2.0], reg=0.1)
-    w_star, f_star = global_optimum([a, b])
+    suite = build_suite([[1.0], [1.0]], [0.0, 2.0], [[0], [1]], reg=0.1)
+    a, b = suite.problems
+    w_star, f_star = suite.w_star, suite.f_star
     assert w_star[0] == pytest.approx(1.0 / 1.1)
     assert f_star == pytest.approx(6.0 / 11.0)
     values = [local_optimum(p)[1] for p in (a, b)]
@@ -238,9 +234,13 @@ def test_per_sample_norms_match_singleton_batches():
             p = NodeProblem(rng.normal(size=(7, 3)), rng.integers(0, 3, size=7),
                             reg=0.3, kind="softmax", n_classes=3)
         w = rng.normal(size=p.dim)
-        fast = per_sample_grad_sq_norms(p, w)
-        slow = [float(np.sum(local_gradient(p, w, [j]) ** 2)) for j in range(p.m)]
-        assert np.allclose(fast, slow, rtol=1e-10, atol=1e-12)
+        for j in range(p.m):
+            alone = NodeProblem(p.features[j : j + 1], p.targets[j : j + 1], reg=p.reg,
+                                kind=p.kind, n_classes=p.n_classes)
+            # the library's closed form, on a pooled view of sample j alone
+            fast = grad_bound_estimate(pool_shards([alone]), [w]) / 1.1
+            slow = float(np.sum(local_gradient(p, w, [j]) ** 2))
+            assert np.allclose(fast, slow, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["ridge", "softmax"])

@@ -4,11 +4,12 @@
 ``node_mean_gradient`` (hence ``gradient_gap``) score models over one
 stacked sample matrix, and ``lockstep_gradient`` takes local SGD's
 mini-batch gradients of many nodes at once from it.  Here they must
-agree with the per-node functions ``local_loss``, ``local_accuracy``,
-``per_sample_grad_sq_norms`` and ``local_gradient`` on random shards of
-unequal sizes, including one-sample shards, for single models and model
-stacks.  Only the order of the floating-point sums differs, so the
-tolerance is 1e-12 relative.
+agree with the per-node library functions ``local_loss`` and
+``local_gradient``, and with the per-node references ``local_accuracy``
+and ``per_sample_grad_sq_norms`` of ``tests/oracles.py``, on random
+shards of unequal sizes, including one-sample shards, for single models
+and model stacks.  Only rounding differs, so the tolerance is 1e-12
+relative.
 
 Both sides run the same per-sample kernel, so the losses of both are
 also held to the first-principles formulas of ``tests/oracles.py``.
@@ -32,15 +33,18 @@ from gossipsim.objective import (
     global_accuracy,
     global_loss,
     grad_bound_estimate,
-    local_accuracy,
     local_gradient,
     local_loss,
     lockstep_gradient,
     node_mean_gradient,
-    per_sample_grad_sq_norms,
     pool_shards,
 )
-from oracles import ridge_loss_direct, softmax_loss_direct
+from oracles import (
+    local_accuracy,
+    per_sample_grad_sq_norms,
+    ridge_loss_direct,
+    softmax_loss_direct,
+)
 
 REL = 1e-12
 SETTINGS = settings(max_examples=60)
