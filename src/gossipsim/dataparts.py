@@ -51,6 +51,8 @@ class PartitionConfig:
             raise ValueError(f"unknown partition scheme {self.scheme!r}")
         if self.scheme == "dirichlet" and not self.alpha > 0:
             raise ValueError("alpha must be positive")
+        if math.isnan(self.alpha):
+            raise ValueError("alpha must not be NaN")
         if self.scheme == "iid" and self.per_node < 0:
             raise ValueError("per_node must be nonnegative")
 

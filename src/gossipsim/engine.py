@@ -191,11 +191,19 @@ def _lockstep_batches(pool: PooledShards, nodes: np.ndarray, epochs: int, batch_
     block_start = block_end - block_len
     owner, epoch = np.divmod(np.repeat(np.arange(block_len.size), block_len), epochs)
     j = np.arange(block_end[-1]) - np.repeat(block_start, block_len)
-    # shuffling each block's arange in place draws what rng.permutation(m_i)
-    # draws, without its per-call array set-up
+    # each block's arange is shuffled in place, one rng.permuted call per
+    # run of equal-length blocks: it shuffles the rows of the (blocks, len)
+    # view in order with shuffle's draws, which are rng.permutation(m_i)'s;
+    # test_permuted_runs_draw_what_the_per_block_shuffles_draw pins this
     perms = j.copy()
-    for a, b in zip(block_start.tolist(), block_end.tolist()):
-        rng.shuffle(perms[a:b])
+    lens = block_len.tolist()
+    cuts = [0, *(np.flatnonzero(block_len[1:] != block_len[:-1]) + 1).tolist(), len(lens)]
+    start = 0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        end = start + (b - a) * lens[a]
+        seg = perms[start:end].reshape(b - a, lens[a])
+        rng.permuted(seg, axis=1, out=seg)
+        start = end
     step = epoch * per_epoch[owner] + j // batch_size
     batch_at = np.concatenate(([0], np.cumsum(active)))
     cell = batch_at[step] + rank[owner]

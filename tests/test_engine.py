@@ -84,6 +84,7 @@ NAN = math.nan
     (lambda: SuiteSpec(separation=NAN), "separation must be positive"),
     (lambda: SuiteSpec(target_curvature=NAN), "target_curvature must be positive"),
     (lambda: PartitionConfig(alpha=NAN), "alpha must be positive"),
+    (lambda: PartitionConfig(scheme="iid", alpha=NAN), "alpha must not be NaN"),
     (lambda: NodeProblem(np.ones((1, 1)), np.ones(1), reg=NAN), "reg must be positive"),
     (lambda: absence_duration(NAN, np.random.default_rng(0)), "rate must be positive"),
     (lambda: synthetic_blobs(2, 1, 4, NAN, np.random.default_rng(0)),
@@ -91,7 +92,7 @@ NAN = math.nan
     (lambda: connectivity(init_mobility(3, MobilityConfig(), np.random.default_rng(0)), NAN),
      "radius must be positive"),
 ], ids=["eta0", "churn.rate", "init_scale", "area_width", "area_height", "pause", "radius",
-        "step", "suite.reg", "separation", "target_curvature", "alpha", "problem.reg",
+        "step", "suite.reg", "separation", "target_curvature", "alpha", "iid.alpha", "problem.reg",
         "absence_duration", "blobs.separation", "connectivity.radius"])
 def test_nan_fails_the_range_checks(build, message):
     with pytest.raises(ValueError, match=message):
@@ -321,3 +322,27 @@ def test_lockstep_sgd_matches_the_per_node_loop(kind, sizes, batch, epochs, offl
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert streams["training"].bit_generator.state == ref_rng.bit_generator.state
         state = result.state
+
+
+@settings(max_examples=25)
+@given(
+    kind=st.sampled_from(["ridge", "softmax"]),
+    runs=st.lists(st.tuples(st.integers(1, 6), st.sampled_from([1, 1, 20, 24])),
+                  min_size=1, max_size=4),
+    batch=st.sampled_from(["one", "between", "above"]),
+    epochs=st.integers(1, 3),
+    offline=st.booleans(),
+    dropout_p=st.sampled_from([0.0, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_permuted_runs_draw_what_the_per_block_shuffles_draw(kind, runs, batch, epochs, offline,
+                                                             dropout_p, seed):
+    """Shard sizes come in runs: single shards, runs of 20 or more equal
+    shards, and shards of one sample.  ``_lockstep_batches`` shuffles each
+    run of equal-length blocks with one ``Generator.permuted`` call, so the
+    models and the training stream match the per-node loop only because
+    numpy's ``permuted`` shuffles the rows in order with ``shuffle``'s own
+    draws; a numpy that changes this fails here."""
+    sizes = [size for size, count in runs for _ in range(count)]
+    test_lockstep_sgd_matches_the_per_node_loop.hypothesis.inner_test(
+        kind, sizes, batch, epochs, offline, dropout_p, seed)
