@@ -19,9 +19,9 @@ for alpha in (0.5, 1.0, 10.0, math.inf):
         rng = np.random.default_rng(seed)
         data = synthetic_blobs(classes=5, d=10, total=280, separation=6.0, rng=rng)
         cfg = (
-            PartitionConfig(scheme="iid", per_node=20)
+            PartitionConfig(alpha=math.inf, per_node=20)
             if math.isinf(alpha)
-            else PartitionConfig(scheme="dirichlet", alpha=alpha)
+            else PartitionConfig(alpha=alpha)
         )
         shards = partition(data, 14, cfg, rng)
         suite = build_suite(data.features, data.targets.astype(float), shards,

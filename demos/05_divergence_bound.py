@@ -20,7 +20,7 @@ slacks = []
 for seed in range(5):
     cfg = RunConfig(
         sim=SimConfig(n=14, rounds=50, seed=seed, churn=ChurnConfig(dropout_p=0.1, rate=1.0)),
-        partition=PartitionConfig(scheme="dirichlet", alpha=1.0),
+        partition=PartitionConfig(alpha=1.0),
         suite=SuiteSpec(),
     )
     suite = build_problem_suite(cfg)

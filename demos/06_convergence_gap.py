@@ -29,7 +29,7 @@ for dropout in (0.0, 0.1, 0.2):
                 churn=ChurnConfig(dropout_p=dropout, rate=1.0),
                 offline_training=False,
             ),
-            partition=PartitionConfig(scheme="dirichlet", alpha=10.0),
+            partition=PartitionConfig(alpha=10.0),
             suite=SuiteSpec(reg=0.5),
         )
         suite = build_problem_suite(cfg)

@@ -16,7 +16,7 @@ from typing import get_type_hints
 
 from .accessibility import ChurnConfig
 from .dataparts import PartitionConfig, partition, synthetic_blobs
-from .engine import EtaSchedule, SimConfig, derive_streams
+from .engine import SimConfig, derive_streams
 from .mobility import MobilityConfig
 from .objective import ProblemSuite, build_suite
 
@@ -71,9 +71,10 @@ class RunConfig:
 
 
 def _float(v) -> float:
-    """A finite number.  JSON's NaN and Infinity literals are rejected:
-    most range checks downstream admit an infinity."""
-    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+    """A finite JSON number.  A string is not a number, and JSON's NaN and
+    Infinity literals are rejected: most range checks downstream admit an
+    infinity."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"expected a number, got {v!r}")
     x = float(v)
     if not math.isfinite(x):
@@ -82,7 +83,8 @@ def _float(v) -> float:
 
 
 def _alpha(v) -> float:
-    """A finite number, or infinity for the i.i.d. limit of the Dirichlet."""
+    """A finite number, or infinity (the one string a config may give:
+    "inf" or "Infinity") for the i.i.d. limit of the Dirichlet."""
     if v == math.inf or (isinstance(v, str) and v.lower() in ("inf", "infinity")):
         return math.inf
     return _float(v)
@@ -100,14 +102,6 @@ def _exactly(tp: type, what: str):
     return cast
 
 
-def _eta(raw) -> EtaSchedule:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return EtaSchedule("constant", _float(raw))
-    if isinstance(raw, dict):
-        return _section(raw, "eta", EtaSchedule)
-    raise ValueError("eta must be a number or an object with kind/eta0")
-
-
 # The caster of each declared field type; a field whose type is another
 # config dataclass is a nested section.
 _CASTS = {
@@ -116,7 +110,6 @@ _CASTS = {
     bool: _exactly(bool, "a boolean"),
     str: _exactly(str, "a string"),
     float | None: lambda v: None if v is None else _float(v),
-    EtaSchedule: _eta,
 }
 # The two exceptions, each keyed by (section, field name): churn's rate is
 # "lambda" in config files, and partition.alpha may also be infinite.

@@ -1,9 +1,9 @@
 """Synthetic labeled data and its assignment to nodes.
 
-Two assignment schemes: a stratified i.i.d. split where every node's class
-histogram tracks the global one, and a Dirichlet(alpha) split where
-smaller alpha means more skewed shards.  An infinite alpha is treated as
-the i.i.d. scheme.
+One split, keyed by the Dirichlet concentration alpha: a finite alpha
+draws a Dirichlet(alpha) split, where smaller alpha means more skewed
+shards, and its limit alpha = inf is a stratified i.i.d. split where every
+node's class histogram tracks the global one.
 """
 
 from __future__ import annotations
@@ -38,22 +38,17 @@ class Dataset:
 
 @dataclass(frozen=True)
 class PartitionConfig:
-    """``scheme`` is "iid" or "dirichlet".  ``alpha`` is the Dirichlet
-    concentration (an infinite alpha degrades to "iid"); ``per_node`` is
-    the shard size for the i.i.d. scheme (0 means split everything)."""
+    """``alpha`` is the Dirichlet concentration; an infinite alpha is the
+    i.i.d. split.  ``per_node`` is the i.i.d. shard size (0 means split
+    everything); a finite alpha ignores it."""
 
-    scheme: str = "dirichlet"
     alpha: float = 10.0
     per_node: int = 0
 
     def __post_init__(self) -> None:
-        if self.scheme not in ("iid", "dirichlet"):
-            raise ValueError(f"unknown partition scheme {self.scheme!r}")
-        if self.scheme == "dirichlet" and not self.alpha > 0:
+        if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        if math.isnan(self.alpha):
-            raise ValueError("alpha must not be NaN")
-        if self.scheme == "iid" and self.per_node < 0:
+        if self.per_node < 0:
             raise ValueError("per_node must be nonnegative")
 
 
@@ -123,7 +118,7 @@ def partition(dataset: Dataset, n: int, cfg: PartitionConfig, rng: np.random.Gen
     if n < 1:
         raise ValueError("need at least one node")
     labels = np.asarray(dataset.targets, dtype=int)
-    if cfg.scheme == "iid" or not math.isfinite(cfg.alpha):
+    if math.isinf(cfg.alpha):
         per_node = cfg.per_node if cfg.per_node else dataset.total // n
         if per_node < 1:
             raise ValueError("per_node must be at least 1")

@@ -62,7 +62,8 @@ STREAM_NAMES = ("data", "partition", "init", "mobility", "churn", "training")
 
 @dataclass(frozen=True)
 class EtaSchedule:
-    """Learning rate per round: constant eta0, or eta0 / (1 + t) decay."""
+    """Learning rate per round: constant eta0, or eta0 / (1 + t) decay.
+    eta0 lies in (0, 1], so no round's rate exceeds 1."""
 
     kind: str = "constant"
     eta0: float = 0.1
@@ -72,6 +73,8 @@ class EtaSchedule:
             raise ValueError(f"unknown eta schedule {self.kind!r}")
         if not self.eta0 > 0:
             raise ValueError("eta must be positive")
+        if self.eta0 > 1:
+            raise ValueError("eta must be at most 1")
 
     def __call__(self, t: int) -> float:
         if self.kind == "constant":

@@ -56,7 +56,7 @@ def _ridge_run_config(seed: int, **kw) -> RunConfig:
         n=14, rounds=50, seed=seed,
         churn=ChurnConfig(dropout_p=0.1, rate=1.0),
     )
-    part = kw.pop("partition", PartitionConfig(scheme="dirichlet", alpha=1.0))
+    part = kw.pop("partition", PartitionConfig(alpha=1.0))
     suite = kw.pop("suite", SuiteSpec())
     sim.update(kw)
     return RunConfig(sim=SimConfig(**sim), partition=part, suite=suite)
@@ -73,7 +73,7 @@ def _gap_config(seed: int, dropout_p: float, rate: float) -> RunConfig:
         mobility=FULL_GRAPH,
         churn=ChurnConfig(dropout_p=dropout_p, rate=rate),
         offline_training=False,
-        partition=PartitionConfig(scheme="dirichlet", alpha=10.0),
+        partition=PartitionConfig(alpha=10.0),
         suite=SuiteSpec(reg=0.5),
     )
 
@@ -146,7 +146,7 @@ def test_criterion_3_duration_statistics():
 def test_criterion_4_dropout_count_calibration():
     counts = []
     for seed in range(20):
-        cfg = _ridge_run_config(seed, partition=PartitionConfig(scheme="dirichlet", alpha=10.0))
+        cfg = _ridge_run_config(seed, partition=PartitionConfig(alpha=10.0))
         suite = build_problem_suite(cfg)
         rows = run_simulation(cfg.sim, suite)
         counts.extend(r.n2 for r in rows)
@@ -172,9 +172,9 @@ def test_criterion_5_heterogeneity_gap_behavior():
             srng = np.random.default_rng(seed + 1000)
             data = synthetic_blobs(5, 10, 280, 6.0, srng)
             pcfg = (
-                PartitionConfig(scheme="iid", per_node=20)
+                PartitionConfig(alpha=math.inf, per_node=20)
                 if math.isinf(alpha)
-                else PartitionConfig(scheme="dirichlet", alpha=alpha)
+                else PartitionConfig(alpha=alpha)
             )
             shards = partition(data, 14, pcfg, srng)
             suite = build_suite(data.features, data.targets.astype(float), shards,
@@ -274,9 +274,9 @@ def test_criterion_9_noniid_ordering():
     means = {}
     for alpha in (math.inf, 10.0, 1.0):
         pcfg = (
-            PartitionConfig(scheme="iid", per_node=20)
+            PartitionConfig(alpha=math.inf, per_node=20)
             if math.isinf(alpha)
-            else PartitionConfig(scheme="dirichlet", alpha=alpha)
+            else PartitionConfig(alpha=alpha)
         )
         vals = []
         for seed in range(10):
@@ -318,7 +318,7 @@ def test_criterion_11_determinism(tmp_path):
     config = {
         "seed": 5,
         "churn": {"dropout_p": 0.1, "lambda": 1.0},
-        "partition": {"scheme": "dirichlet", "alpha": 1.0},
+        "partition": {"alpha": 1.0},
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))

@@ -19,7 +19,7 @@ SMALL = {
     "rounds": 5,
     "seed": 7,
     "churn": {"dropout_p": 0.2, "lambda": 1.0},
-    "partition": {"scheme": "dirichlet", "alpha": 1.0},
+    "partition": {"alpha": 1.0},
     "suite": {"classes": 3, "dim": 4, "total": 40},
 }
 
@@ -47,10 +47,21 @@ def test_run_default_config_produces_fifty_rows(tmp_path):
 
 
 def test_run_rejects_zero_eta_naming_field(tmp_path, capsys):
-    cfg = _write_config(tmp_path, dict(SMALL, eta=0.0))
+    cfg = _write_config(tmp_path, dict(SMALL, eta={"eta0": 0.0}))
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == EXIT_USAGE
-    assert "eta" in capsys.readouterr().err
+    assert "field 'eta': eta must be positive" in capsys.readouterr().err
+
+
+def test_run_rejects_a_rate_above_one(tmp_path, capsys):
+    # with eta > 1 the factor (1 - eta) turned gap_term negative, and
+    # check failed the run's trace on nonnegative distances
+    cfg = _write_config(tmp_path, {"n": 4, "rounds": 6, "eta": {"kind": "constant", "eta0": 1.5},
+                                   "churn": {"dropout_p": 0.5}})
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "field 'eta': eta must be at most 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_rejects_unknown_field(tmp_path, capsys):
@@ -60,11 +71,16 @@ def test_run_rejects_unknown_field(tmp_path, capsys):
     assert "learning_rate" in capsys.readouterr().err
 
 
-def test_run_rejects_the_removed_wtilde_mode_field(tmp_path, capsys):
-    cfg = _write_config(tmp_path, dict(SMALL, wtilde_mode="literal"))
+@pytest.mark.parametrize("patch, message", [
+    ({"wtilde_mode": "literal"}, "unknown field 'wtilde_mode'"),
+    ({"partition": {"scheme": "iid", "alpha": "inf"}}, "unknown field 'partition.scheme'"),
+    ({"eta": 0.05}, "field 'eta' must be an object"),
+], ids=["wtilde_mode", "partition.scheme", "bare eta"])
+def test_run_rejects_a_removed_config_form(tmp_path, capsys, patch, message):
+    cfg = _write_config(tmp_path, dict(SMALL, **patch))
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == EXIT_USAGE
-    assert "unknown field 'wtilde_mode'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -78,11 +94,11 @@ def test_run_rejects_malformed_json_with_line_info(tmp_path, capsys):
 
 @pytest.mark.parametrize("patch, field", [
     ({"churn": {"lambda": math.nan}}, "churn.lambda"),
-    ({"eta": math.nan}, "eta"),
+    ({"eta": {"eta0": math.nan}}, "eta"),
     ({"eta": {"kind": "constant", "eta0": math.inf}}, "eta.eta0"),
     ({"mobility": {"radius": -math.inf}}, "mobility.radius"),
-    ({"init_scale": "nan"}, "init_scale"),
-    ({"suite": {"target_curvature": "inf"}}, "suite.target_curvature"),
+    ({"init_scale": math.nan}, "init_scale"),
+    ({"suite": {"target_curvature": math.inf}}, "suite.target_curvature"),
     ({"partition": {"alpha": math.nan}}, "partition.alpha"),
 ])
 def test_run_rejects_non_finite_numbers(tmp_path, capsys, patch, field):
@@ -91,6 +107,19 @@ def test_run_rejects_non_finite_numbers(tmp_path, capsys, patch, field):
     assert code == EXIT_USAGE
     assert field in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("patch, field", [
+    ({"init_scale": "0.5"}, "init_scale"),
+    ({"eta": {"eta0": "0.05"}}, "eta.eta0"),
+    ({"churn": {"lambda": "nan"}}, "churn.lambda"),
+    ({"suite": {"target_curvature": "inf"}}, "suite.target_curvature"),
+    ({"partition": {"alpha": "1.0"}}, "partition.alpha"),
+])
+def test_config_numbers_are_json_numbers(patch, field):
+    # a number written as a string is not a second spelling of it
+    with pytest.raises(ConfigError, match=f"field '{field}': expected a number"):
+        run_config_from_dict(patch)
 
 
 @pytest.mark.parametrize("alpha", [math.inf, "inf", "Infinity"])
@@ -108,7 +137,7 @@ ECHO_SECTION_KEYS = {
     "eta": {"kind", "eta0"},
     "mobility": {"area_width", "area_height", "speed_min", "speed_max", "pause", "radius", "step"},
     "churn": {"dropout_p", "lambda"},
-    "partition": {"scheme", "alpha", "per_node"},
+    "partition": {"alpha", "per_node"},
     "suite": {"kind", "classes", "dim", "total", "separation", "reg", "target_curvature",
               "gamma_weights"},
 }
@@ -178,9 +207,9 @@ def test_run_with_an_absence_past_int64_exits_zero_and_checks(tmp_path, capsys):
 OVERFLOWING = [
     ({"n": 4, "rounds": 2, "init_scale": 1e200}, "t=0 column dist_wbar_sq"),
     ({"n": 4, "rounds": 2, "churn": {"dropout_p": 1, "lambda": 5e-324}}, "t=0 column beta_t"),
-    ({"n": 4, "rounds": 60, "eta": {"eta0": 50}}, "t=45 column dist_wbar_sq"),
+    ({"n": 4, "rounds": 80, "eta": {"eta0": 1.0}, "suite": {"target_curvature": 50}},
+     "t=45 column dist_wbar_sq"),
     ({"n": 4, "rounds": 2, "suite": {"separation": 1e200}}, None),
-    ({"n": 4, "rounds": 2, "eta": 1e120}, "t=0 column dist_wbar_sq"),
     ({"n": 4, "rounds": 2, "suite": {"reg": 1e160}}, "t=0 column dist_wbar_sq"),
 ]
 
@@ -633,6 +662,7 @@ def test_run_rejects_a_bad_suite_section(tmp_path, capsys, patch, key):
     ("alpha", "1,-inf", "partition.alpha"),
     ("dropout_p", "0,2", "field 'churn': dropout_p"),
     ("deemphasis", "1.5", "deemphasis must lie in [0, 1]"),
+    ("eta", "1.5", "field 'eta': eta must be at most 1"),
 ])
 def test_sweep_values_are_validated_like_file_values(tmp_path, capsys, axis, values, field):
     cfg = _write_config(tmp_path, SMALL)
@@ -670,7 +700,7 @@ def test_check_parses_the_manifest_config_like_a_config_file(tmp_path, capsys, e
 
 @pytest.mark.parametrize("patch, code, message", [
     ({"suite": {"total": 13}}, EXIT_USAGE, "suite.total 13 is too small: 14 nodes"),
-    ({"partition": {"scheme": "iid", "per_node": 21}}, EXIT_USAGE, "need at least 294 samples"),
+    ({"partition": {"alpha": "inf", "per_node": 21}}, EXIT_USAGE, "need at least 294 samples"),
     ({"partition": {"alpha": 0.01}, "suite": {"total": 14}}, EXIT_RUNTIME,
      "could not give every one of 14 nodes a sample"),
 ])

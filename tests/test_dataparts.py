@@ -63,18 +63,18 @@ def test_blobs_infeasible_counts_rejected():
 
 def test_partition_config_validation():
     with pytest.raises(ValueError):
-        PartitionConfig(scheme="exotic")
+        PartitionConfig(alpha=-math.inf)
     with pytest.raises(ValueError):
-        PartitionConfig(scheme="dirichlet", alpha=0.0)
+        PartitionConfig(alpha=0.0)
     with pytest.raises(ValueError):
-        PartitionConfig(scheme="iid", per_node=-1)
+        PartitionConfig(alpha=math.inf, per_node=-1)
 
 
 def test_iid_histograms_track_global_within_one():
     rng = np.random.default_rng(3)
     data = synthetic_blobs(10, 2, 600, 5.0, rng)
     n, per_node = 6, 100
-    shards = partition(data, n, PartitionConfig(scheme="iid", per_node=per_node), rng)
+    shards = partition(data, n, PartitionConfig(alpha=math.inf, per_node=per_node), rng)
     global_counts = np.bincount(data.targets, minlength=10) / data.total
     for shard in shards:
         assert len(shard) == per_node
@@ -87,13 +87,13 @@ def test_partition_indices_disjoint_and_within_draw():
     rng = np.random.default_rng(4)
     data = synthetic_blobs(4, 2, 120, 5.0, rng)
     for cfg in (
-        PartitionConfig(scheme="iid", per_node=20),
-        PartitionConfig(scheme="dirichlet", alpha=1.0),
+        PartitionConfig(alpha=math.inf, per_node=20),
+        PartitionConfig(alpha=1.0),
     ):
         shards = partition(data, 5, cfg, rng)
         merged = np.concatenate(shards)
         assert len(merged) == len(set(merged.tolist()))
-        if cfg.scheme == "dirichlet":
+        if math.isfinite(cfg.alpha):
             assert sorted(merged.tolist()) == list(range(120))
         else:
             assert len(merged) == 100
@@ -103,7 +103,7 @@ def test_dirichlet_low_alpha_has_lower_label_entropy():
     def mean_entropy(alpha, seed):
         rng = np.random.default_rng(seed)
         data = synthetic_blobs(5, 2, 250, 5.0, rng)
-        shards = partition(data, 5, PartitionConfig(scheme="dirichlet", alpha=alpha), rng)
+        shards = partition(data, 5, PartitionConfig(alpha=alpha), rng)
         ents = []
         for shard in shards:
             p = np.bincount(data.targets[shard], minlength=5) / len(shard)
@@ -119,7 +119,7 @@ def test_dirichlet_low_alpha_has_lower_label_entropy():
 def test_infinite_alpha_falls_back_to_iid():
     rng = np.random.default_rng(5)
     data = synthetic_blobs(4, 2, 80, 5.0, rng)
-    cfg = PartitionConfig(scheme="dirichlet", alpha=math.inf)
+    cfg = PartitionConfig(alpha=math.inf)
     shards = partition(data, 4, cfg, np.random.default_rng(6))
     assert all(len(s) == 20 for s in shards)
     global_counts = np.bincount(data.targets, minlength=4) / data.total
@@ -131,18 +131,18 @@ def test_infinite_alpha_falls_back_to_iid():
 def test_every_node_gets_a_sample_or_degenerate_error():
     rng = np.random.default_rng(7)
     data = synthetic_blobs(2, 2, 12, 5.0, rng)
-    shards = partition(data, 6, PartitionConfig(scheme="dirichlet", alpha=0.5), rng)
+    shards = partition(data, 6, PartitionConfig(alpha=0.5), rng)
     assert all(len(s) >= 1 for s in shards)
     # more nodes than samples cannot be satisfied at all
     with pytest.raises(DegeneratePartitionError):
-        partition(data, 13, PartitionConfig(scheme="dirichlet", alpha=0.05), rng)
+        partition(data, 13, PartitionConfig(alpha=0.05), rng)
 
 
 def test_dirichlet_proportions_are_used_exactly():
     # apportionment never loses or invents samples per class
     rng = np.random.default_rng(8)
     data = synthetic_blobs(6, 2, 300, 5.0, rng)
-    shards = partition(data, 7, PartitionConfig(scheme="dirichlet", alpha=0.7), rng)
+    shards = partition(data, 7, PartitionConfig(alpha=0.7), rng)
     for c in range(6):
         total_c = int(np.sum(data.targets == c))
         assigned = sum(int(np.sum(data.targets[s] == c)) for s in shards)
@@ -158,9 +158,9 @@ def test_gamma_nonincreasing_in_alpha_on_average():
             rng = np.random.default_rng(seed)
             data = synthetic_blobs(5, 6, 140, 5.0, rng)
             cfg = (
-                PartitionConfig(scheme="iid", per_node=10)
+                PartitionConfig(alpha=math.inf, per_node=10)
                 if math.isinf(alpha)
-                else PartitionConfig(scheme="dirichlet", alpha=alpha)
+                else PartitionConfig(alpha=alpha)
             )
             shards = partition(data, 14, cfg, rng)
             suite = build_suite(data.features, data.targets.astype(float), shards,

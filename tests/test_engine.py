@@ -32,7 +32,7 @@ def _config(**kw) -> RunConfig:
         mobility=MobilityConfig(),
         churn=ChurnConfig(dropout_p=0.1, rate=1.0),
     )
-    part = kw.pop("partition", PartitionConfig(scheme="dirichlet", alpha=1.0))
+    part = kw.pop("partition", PartitionConfig(alpha=1.0))
     suite = kw.pop("suite", SuiteSpec(classes=3, dim=4, total=60))
     sim.update(kw)
     return RunConfig(sim=SimConfig(**sim), partition=part, suite=suite)
@@ -62,8 +62,11 @@ def test_sim_config_validation(bad):
 
 
 def test_eta_schedule_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="eta must be positive"):
         EtaSchedule("constant", 0.0)
+    with pytest.raises(ValueError, match="eta must be at most 1"):
+        EtaSchedule(eta0=1.5)
+    assert EtaSchedule(eta0=1.0)(0) == 1.0
     with pytest.raises(ValueError):
         EtaSchedule("linear", 0.1)
 
@@ -84,7 +87,6 @@ NAN = math.nan
     (lambda: SuiteSpec(separation=NAN), "separation must be positive"),
     (lambda: SuiteSpec(target_curvature=NAN), "target_curvature must be positive"),
     (lambda: PartitionConfig(alpha=NAN), "alpha must be positive"),
-    (lambda: PartitionConfig(scheme="iid", alpha=NAN), "alpha must not be NaN"),
     (lambda: NodeProblem(np.ones((1, 1)), np.ones(1), reg=NAN), "reg must be positive"),
     (lambda: absence_duration(NAN, np.random.default_rng(0)), "rate must be positive"),
     (lambda: synthetic_blobs(2, 1, 4, NAN, np.random.default_rng(0)),
@@ -92,7 +94,7 @@ NAN = math.nan
     (lambda: connectivity(init_mobility(3, MobilityConfig(), np.random.default_rng(0)), NAN),
      "radius must be positive"),
 ], ids=["eta0", "churn.rate", "init_scale", "area_width", "area_height", "pause", "radius",
-        "step", "suite.reg", "separation", "target_curvature", "alpha", "iid.alpha", "problem.reg",
+        "step", "suite.reg", "separation", "target_curvature", "alpha", "problem.reg",
         "absence_duration", "blobs.separation", "connectivity.radius"])
 def test_nan_fails_the_range_checks(build, message):
     with pytest.raises(ValueError, match=message):
@@ -210,7 +212,7 @@ def test_descent_beats_pooled_sgd_oracle_within_factor():
         churn=ChurnConfig(dropout_p=0.0),
         eta=EtaSchedule("constant", 0.05),
         suite=SuiteSpec(classes=3, dim=4, total=60, reg=0.2, target_curvature=0.8),
-        partition=PartitionConfig(scheme="iid", per_node=10),
+        partition=PartitionConfig(alpha=math.inf, per_node=10),
     )
     suite = build_problem_suite(cfg)
     rows = run_simulation(cfg.sim, suite)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ def _ridge(x, y, reg=1.0):
 
 def _random_suite(rng, n=4, kind="ridge", reg=0.1, classes=3, d=4, total=60, alpha=1.0):
     data = synthetic_blobs(classes, d, total, separation=4.0, rng=rng)
-    shards = partition(data, n, PartitionConfig(scheme="dirichlet", alpha=alpha), rng)
+    shards = partition(data, n, PartitionConfig(alpha=alpha), rng)
     targets = data.targets if kind == "softmax" else data.targets.astype(float)
     return build_suite(data.features, targets, shards, kind=kind, reg=reg,
                        n_classes=classes if kind == "softmax" else 0)
@@ -181,7 +182,7 @@ def test_gamma_nonnegative_on_random_suites():
     for _ in range(100):
         data = synthetic_blobs(3, 4, 60, separation=4.0, rng=rng)
         shards = partition(data, 3, PartitionConfig(
-            scheme="dirichlet", alpha=float(rng.uniform(0.5, 20))), rng)
+            alpha=float(rng.uniform(0.5, 20))), rng)
         suite = build_suite(data.features, data.targets.astype(float), shards,
                             kind="ridge", reg=0.1, gamma_weights="uniform")
         assert suite.gamma >= 0.0
@@ -192,7 +193,7 @@ def test_gamma_nonnegative_with_data_weights_at_experiment_scale():
     for _ in range(20):
         data = synthetic_blobs(5, 10, 280, separation=6.0, rng=rng)
         shards = partition(data, 14, PartitionConfig(
-            scheme="dirichlet", alpha=float(rng.uniform(0.5, 20))), rng)
+            alpha=float(rng.uniform(0.5, 20))), rng)
         suite = build_suite(data.features, data.targets.astype(float), shards,
                             kind="ridge", reg=0.1)
         assert suite.gamma >= 0.0
@@ -274,7 +275,7 @@ def test_target_curvature_pins_smoothness():
     suite = _random_suite(np.random.default_rng(21))
     data_rng = np.random.default_rng(22)
     data = synthetic_blobs(3, 4, 60, 4.0, data_rng)
-    shards = partition(data, 4, PartitionConfig(scheme="iid", per_node=15), data_rng)
+    shards = partition(data, 4, PartitionConfig(alpha=math.inf, per_node=15), data_rng)
     pinned = build_suite(data.features, data.targets.astype(float), shards,
                          kind="ridge", reg=0.1, target_curvature=0.9)
     assert pinned.L == pytest.approx(1.0, abs=1e-9)
