@@ -2,8 +2,8 @@
 
 Smaller concentration alpha gives nodes more skewed label mixes.  The
 suite quantifies that with a single nonnegative number: the gap between
-the global optimal value and the weighted sum of per-node optimal
-values.  Identical shards give zero; the gap shrinks as alpha grows and
+the global optimal value and the mean of the per-node optimal values.
+Identical shards give zero; the gap shrinks as alpha grows and
 the infinite-alpha (i.i.d.) split sits near zero.
 """
 

@@ -47,13 +47,10 @@ class SuiteSpec:
     separation: float = 6.0
     reg: float = 0.1
     target_curvature: float | None = 0.9
-    gamma_weights: str = "data"
 
     def __post_init__(self) -> None:
         if self.kind not in ("ridge", "softmax"):
             raise ValueError(f"unknown objective kind {self.kind!r}")
-        if self.gamma_weights not in ("data", "uniform"):
-            raise ValueError(f"unknown gamma_weights {self.gamma_weights!r}")
         for name, low in (("classes", 2), ("dim", 1), ("total", self.classes)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}")
@@ -211,7 +208,6 @@ def build_problem_suite(config: RunConfig) -> ProblemSuite:
         reg=spec.reg,
         n_classes=spec.classes if spec.kind == "softmax" else 0,
         target_curvature=spec.target_curvature,
-        gamma_weights=spec.gamma_weights,
     )
 
 

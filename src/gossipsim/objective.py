@@ -443,28 +443,19 @@ def local_optimum(p: NodeProblem):
     return w, local_loss(p, w)
 
 
-def heterogeneity_gap(problems, w_star, local_values, weights: str = "data") -> float:
-    """Data-heterogeneity measure: the gap between the global optimal
-    value and the weighted sum of per-node optimal values.
+def heterogeneity_gap(problems, w_star, local_values) -> float:
+    """Data-heterogeneity measure: the global optimal value minus the mean
+    of the per-node optimal values.
 
-    ``problems`` is as in :func:`global_loss`.  ``weights="uniform"``
-    weighs each node by 1/n.  The global objective is the unweighted mean
-    of the node losses, so that gap is the mean of F_i(w*) - F_i^*, a mean
-    of nonnegative terms.  ``weights="data"`` weighs node i by its data
-    share m_i / sum_j m_j, and that gap has no sign guarantee: it goes
-    negative when small shards have large optimal values.  Identical
-    shards give 0.  Tiny negative float residue (>= -1e-10) is clamped
-    to 0.
+    ``problems`` is as in :func:`global_loss`.  Gossip with a doubly
+    stochastic matrix minimizes the unweighted mean of the node losses,
+    so every node weighs 1/n, and the gap is the mean of
+    F_i(w*) - F_i^*, a mean of nonnegative terms.  Identical shards give
+    0.  Tiny negative float residue (>= -1e-10) is clamped to 0.
     """
     pool = _pooled(problems)
-    if weights == "data":
-        total = int(pool.sizes.sum())
-        shares = [m / total for m in pool.sizes.tolist()]
-    elif weights == "uniform":
-        shares = [1.0 / pool.n] * pool.n
-    else:
-        raise ValueError(f"unknown weighting {weights!r}")
-    gap = global_loss(pool, w_star) - sum(s * v for s, v in zip(shares, local_values))
+    share = 1.0 / pool.n
+    gap = global_loss(pool, w_star) - sum(share * v for v in local_values)
     if -1e-10 <= gap < 0.0:
         return 0.0
     return float(gap)
@@ -499,7 +490,6 @@ class ProblemSuite:
     local_optima: list
     gamma: float
     grad_bound_sq: float
-    gamma_weights: str = "data"
 
     @property
     def n(self) -> int:
@@ -523,7 +513,6 @@ def build_suite(
     reg: float = 0.1,
     n_classes: int = 0,
     target_curvature: float | None = None,
-    gamma_weights: str = "data",
 ) -> ProblemSuite:
     """Assemble a ProblemSuite from a dataset and per-node index sets.
 
@@ -560,7 +549,7 @@ def build_suite(
     w_star = _minimize(problems)
     f_star = global_loss(pool, w_star)
     local_opts = [local_optimum(p) for p in problems]
-    gap = heterogeneity_gap(pool, w_star, [v for _, v in local_opts], gamma_weights)
+    gap = heterogeneity_gap(pool, w_star, [v for _, v in local_opts])
     probes = [np.zeros(problems[0].dim), w_star] + [w for w, _ in local_opts]
     bound = grad_bound_estimate(pool, probes)
     suite = ProblemSuite(
@@ -573,7 +562,6 @@ def build_suite(
         local_optima=local_opts,
         gamma=gap,
         grad_bound_sq=bound,
-        gamma_weights=gamma_weights,
     )
     suite.pooled = pool
     return suite
@@ -584,7 +572,7 @@ def suite_digest(suite: ProblemSuite) -> str:
     then of each array's shape and little-endian float64 bytes."""
     first = suite.problems[0]
     scalars = (suite.kind, suite.dimension, first.reg, first.n_classes, suite.L, suite.mu,
-               suite.f_star, suite.gamma, suite.gamma_weights, suite.grad_bound_sq,
+               suite.f_star, suite.gamma, suite.grad_bound_sq,
                [v for _, v in suite.local_optima])
     arrays = [suite.w_star] + [w for w, _ in suite.local_optima]
     arrays += [a for p in suite.problems for a in (p.features, p.targets)]

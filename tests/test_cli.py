@@ -74,8 +74,9 @@ def test_run_rejects_unknown_field(tmp_path, capsys):
 @pytest.mark.parametrize("patch, message", [
     ({"wtilde_mode": "literal"}, "unknown field 'wtilde_mode'"),
     ({"partition": {"scheme": "iid", "alpha": "inf"}}, "unknown field 'partition.scheme'"),
+    ({"suite": {"gamma_weights": "uniform"}}, "unknown field 'suite.gamma_weights'"),
     ({"eta": 0.05}, "field 'eta' must be an object"),
-], ids=["wtilde_mode", "partition.scheme", "bare eta"])
+], ids=["wtilde_mode", "partition.scheme", "suite.gamma_weights", "bare eta"])
 def test_run_rejects_a_removed_config_form(tmp_path, capsys, patch, message):
     cfg = _write_config(tmp_path, dict(SMALL, **patch))
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -138,8 +139,7 @@ ECHO_SECTION_KEYS = {
     "mobility": {"area_width", "area_height", "speed_min", "speed_max", "pause", "radius", "step"},
     "churn": {"dropout_p", "lambda"},
     "partition": {"alpha", "per_node"},
-    "suite": {"kind", "classes", "dim", "total", "separation", "reg", "target_curvature",
-              "gamma_weights"},
+    "suite": {"kind", "classes", "dim", "total", "separation", "reg", "target_curvature"},
 }
 
 
@@ -378,18 +378,17 @@ def test_check_names_the_first_failing_row_of_each_check(tmp_path, capsys):
     assert f"FAIL  finite values: non-finite value in {trace} t=1 column beta_t" in report
 
 
-def test_check_names_the_negative_column(tmp_path, capsys):
-    # data-weighted gamma has no sign guarantee: on this skewed split of
-    # flat features it is negative, while every other column is not
+def test_a_skewed_split_of_flat_features_has_a_positive_gap_and_checks(tmp_path, capsys):
+    # shard sizes 2-56: weighing the nodes by data share made this gap
+    # -0.0969, and check failed the trace on column gamma
     cfg = _write_config(tmp_path, {"seed": 1, "partition": {"alpha": 0.1},
                                    "suite": {"target_curvature": 0.001}})
     out = tmp_path / "run"
     assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert all(row.gamma > 0 for row in read_trace_csv(out / "trace.csv"))
     capsys.readouterr()
-    assert main(["check", "--out", str(out)]) == EXIT_RUNTIME
-    trace = out / "trace.csv"
-    assert (f"FAIL  nonnegative distances: negative value in {trace} t=0 column gamma"
-            in capsys.readouterr().out)
+    assert main(["check", "--out", str(out)]) == EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("keep", [0, 2])
@@ -641,7 +640,7 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, argv, patch):
     ({"kind": "svm"}, "kind"),
     ({"reg": -1}, "reg"),
     ({"classes": 1}, "classes"),
-    ({"gamma_weights": "foo"}, "gamma_weights"),
+    ({"reg": 0}, "reg"),
     ({"total": 2}, "total"),
     ({"dim": 0}, "dim"),
     ({"separation": 0}, "separation"),

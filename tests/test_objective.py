@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipsim.dataparts import PartitionConfig, partition, synthetic_blobs
 from gossipsim.objective import (
@@ -28,12 +30,14 @@ def _ridge(x, y, reg=1.0):
     return NodeProblem(np.asarray(x, dtype=float), np.asarray(y, dtype=float), reg=reg)
 
 
-def _random_suite(rng, n=4, kind="ridge", reg=0.1, classes=3, d=4, total=60, alpha=1.0):
+def _random_suite(rng, n=4, kind="ridge", reg=0.1, classes=3, d=4, total=60, alpha=1.0,
+                  target_curvature=None):
     data = synthetic_blobs(classes, d, total, separation=4.0, rng=rng)
     shards = partition(data, n, PartitionConfig(alpha=alpha), rng)
     targets = data.targets if kind == "softmax" else data.targets.astype(float)
     return build_suite(data.features, targets, shards, kind=kind, reg=reg,
-                       n_classes=classes if kind == "softmax" else 0)
+                       n_classes=classes if kind == "softmax" else 0,
+                       target_curvature=target_curvature)
 
 
 def test_ridge_loss_zero_at_perfect_fit():
@@ -175,28 +179,17 @@ def test_gamma_hand_value_for_disjoint_targets():
     assert gap > 0
 
 
-def test_gamma_nonnegative_on_random_suites():
-    # with uniform weights nonnegativity is exact for any suite; the data
-    # weighting matches it up to finite-sample wiggle on skewed shards
-    rng = np.random.default_rng(13)
-    for _ in range(100):
-        data = synthetic_blobs(3, 4, 60, separation=4.0, rng=rng)
-        shards = partition(data, 3, PartitionConfig(
-            alpha=float(rng.uniform(0.5, 20))), rng)
-        suite = build_suite(data.features, data.targets.astype(float), shards,
-                            kind="ridge", reg=0.1, gamma_weights="uniform")
-        assert suite.gamma >= 0.0
-
-
-def test_gamma_nonnegative_with_data_weights_at_experiment_scale():
-    rng = np.random.default_rng(14)
-    for _ in range(20):
-        data = synthetic_blobs(5, 10, 280, separation=6.0, rng=rng)
-        shards = partition(data, 14, PartitionConfig(
-            alpha=float(rng.uniform(0.5, 20))), rng)
-        suite = build_suite(data.features, data.targets.astype(float), shards,
-                            kind="ridge", reg=0.1)
-        assert suite.gamma >= 0.0
+@settings(max_examples=24)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["ridge", "softmax"]),
+       n=st.integers(2, 6), alpha=st.floats(0.3, 20.0),
+       curvature=st.sampled_from([None, 1e-3, 0.9]))
+def test_gamma_nonnegative_on_random_suites(seed, kind, n, alpha, curvature):
+    # every node weighs 1/n, so gamma is the mean of F_i(w*) - F_i^*, a
+    # mean of nonnegative terms: also on skewed splits of flat features,
+    # where weighing by data share made it negative
+    suite = _random_suite(np.random.default_rng(seed), n=n, kind=kind, alpha=alpha,
+                          target_curvature=curvature)
+    assert suite.gamma >= 0.0
 
 
 def test_grad_bound_zero_case():
