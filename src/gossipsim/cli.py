@@ -107,9 +107,8 @@ def _run_one(config: RunConfig, out_dir: Path) -> dict:
 
 def _check_samples(config: RunConfig) -> None:
     """Raise ConfigError unless ``suite.total`` gives every node a shard:
-    one sample each, or ``per_node`` each under the i.i.d. split (an
-    infinite alpha).  Not part of parsing: a config that never builds a
-    suite may have fewer."""
+    one sample each, or ``per_node`` each under the i.i.d. split (alpha =
+    inf).  Not part of parsing: a config that never builds a suite may have fewer."""
     part, n, total = config.partition, config.sim.n, config.suite.total
     need = n * part.per_node if math.isinf(part.alpha) and part.per_node else n
     if total < need:

@@ -68,9 +68,8 @@ class RunConfig:
 
 
 def _float(v) -> float:
-    """A finite JSON number.  A string is not a number, and JSON's NaN and
-    Infinity literals are rejected: most range checks downstream admit an
-    infinity."""
+    """A finite JSON number, not a string.  JSON's NaN and Infinity literals
+    are rejected: most range checks downstream admit an infinity."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"expected a number, got {v!r}")
     x = float(v)
@@ -80,8 +79,7 @@ def _float(v) -> float:
 
 
 def _alpha(v) -> float:
-    """A finite number, or infinity (the one string a config may give:
-    "inf" or "Infinity") for the i.i.d. limit of the Dirichlet."""
+    """A finite number, or infinity (also "inf" or "Infinity") for the i.i.d. split."""
     if v == math.inf or (isinstance(v, str) and v.lower() in ("inf", "infinity")):
         return math.inf
     return _float(v)

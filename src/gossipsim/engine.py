@@ -62,8 +62,7 @@ STREAM_NAMES = ("data", "partition", "init", "mobility", "churn", "training")
 
 @dataclass(frozen=True)
 class EtaSchedule:
-    """Learning rate per round: constant eta0, or eta0 / (1 + t) decay.
-    eta0 lies in (0, 1], so no round's rate exceeds 1."""
+    """Learning rate per round: constant eta0 in (0, 1], or eta0 / (1 + t) decay."""
 
     kind: str = "constant"
     eta0: float = 0.1
