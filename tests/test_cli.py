@@ -210,6 +210,8 @@ OVERFLOWING = [
     ({"n": 4, "rounds": 80, "eta": {"eta0": 1.0}, "suite": {"target_curvature": 50}},
      "t=45 column dist_wbar_sq"),
     ({"n": 4, "rounds": 2, "suite": {"separation": 1e200}}, None),
+    ({"n": 4, "rounds": 2, "eta": {"eta0": 1.0}, "suite": {"target_curvature": 1e120}},
+     "t=0 column dist_wbar_sq"),
     ({"n": 4, "rounds": 2, "suite": {"reg": 1e160}}, "t=0 column dist_wbar_sq"),
 ]
 

@@ -192,6 +192,19 @@ def test_gamma_nonnegative_on_random_suites(seed, kind, n, alpha, curvature):
     assert suite.gamma >= 0.0
 
 
+def test_gamma_nonnegative_with_data_weights_at_experiment_scale():
+    # Dirichlet splits at the experiments' size give nodes very unequal data
+    # shares; the gap still weighs each node 1/n and stays nonnegative
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        data = synthetic_blobs(5, 10, 280, separation=6.0, rng=rng)
+        shards = partition(data, 14, PartitionConfig(alpha=float(rng.uniform(0.5, 20))), rng)
+        assert len({len(s) for s in shards}) > 1
+        suite = build_suite(data.features, data.targets.astype(float), shards,
+                            kind="ridge", reg=0.1)
+        assert suite.gamma >= 0.0
+
+
 def test_grad_bound_zero_case():
     p = _ridge([[0.0]], [0.0], reg=0.5)
     assert grad_bound_estimate(pool_shards([p]), [np.zeros(1)]) == 0.0
