@@ -110,6 +110,19 @@ class NodeProblem:
     def dim(self) -> int:
         return self.features.shape[1] * self.outputs
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """H = X^T X / m, built on first use: the curvature constant, the
+        ridge solves and the ridge scorers all read this one copy."""
+        return self.features.T @ self.features / self.m
+
+    @cached_property
+    def moments(self) -> tuple[np.ndarray, float]:
+        """(b, c) = (X^T y / m, y^T y / m) of a ridge shard, built on first
+        use: its data term is 1/2 w^T H w - b^T w + 1/2 c with H = gram."""
+        y = self.targets
+        return self.features.T @ y / self.m, float(y @ y) / self.m
+
 
 def _weights(p: NodeProblem, w) -> np.ndarray:
     """The (outputs, d) weight matrix of a flat parameter vector."""
@@ -203,12 +216,14 @@ class PooledShards:
     ``whole`` is the union of the samples as one problem; node i owns its
     rows ``offsets[i] : offsets[i] + sizes[i]`` (CSR ``indptr`` without
     the end).  Every shard is nonempty, so each node's shard mean, and
-    with it ``sample_weights``, is finite.
+    with it ``sample_weights``, is finite.  ``nodes`` are the node
+    problems themselves, whose Gram caches the ridge scorers read.
     """
 
     whole: NodeProblem
     sizes: np.ndarray
     offsets: np.ndarray
+    nodes: tuple
 
     @property
     def n(self) -> int:
@@ -227,6 +242,12 @@ class PooledShards:
         as from a transposed view."""
         return np.ascontiguousarray(self.whole.features.T)
 
+    @cached_property
+    def ridge_means(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The ridge network objective's (H + reg I, b, c), built on first
+        use; see :func:`_ridge_means`."""
+        return _ridge_means(self.nodes)
+
 
 def pool_shards(problems) -> PooledShards:
     """Stack node problems that share kind, reg, class count and feature
@@ -242,7 +263,8 @@ def pool_shards(problems) -> PooledShards:
     whole = NodeProblem(np.concatenate([p.features for p in problems]),
                         np.concatenate([p.targets for p in problems]),
                         reg=first.reg, kind=first.kind, n_classes=first.n_classes)
-    return PooledShards(whole, sizes, np.concatenate(([0], np.cumsum(sizes[:-1]))))
+    return PooledShards(whole, sizes, np.concatenate(([0], np.cumsum(sizes[:-1]))),
+                        tuple(problems))
 
 
 def _pooled(source) -> PooledShards:
@@ -300,9 +322,15 @@ def global_loss(problems, models):
     pool = _pooled(problems)
     stack, single = _model_stack(pool, models)
     p = pool.whole
-    values = 0.5 * p.reg * (stack * stack).sum(axis=1)
-    for rows, z in _output_blocks(pool, stack):
-        values[rows] += (_sample_loss(p.kind, z, p.targets) * pool.sample_weights).sum(axis=1)
+    if p.kind == "ridge":
+        # w^T (1/2 (H + reg I) w - b) + c/2, one product per model
+        h, b, c = pool.ridge_means
+        rows = stack[:, None, :]
+        values = np.matmul(0.5 * np.matmul(rows, h) - b, stack[:, :, None])[:, 0, 0] + 0.5 * c
+    else:
+        values = 0.5 * p.reg * (stack * stack).sum(axis=1)
+        for rows, z in _output_blocks(pool, stack):
+            values[rows] += (_sample_loss(p.kind, z, p.targets) * pool.sample_weights).sum(axis=1)
     return float(values[0]) if single else values
 
 
@@ -354,8 +382,7 @@ def lockstep_gradient(pool: PooledShards, mats: np.ndarray, rows: np.ndarray,
 
 def _curvature(p: NodeProblem) -> float:
     """Largest eigenvalue of X^T X / m for the node's shard."""
-    gram = p.features.T @ p.features / p.m
-    return float(np.linalg.eigvalsh(gram)[-1])
+    return float(np.linalg.eigvalsh(p.gram)[-1])
 
 
 def constants(problems) -> tuple[float, float]:
@@ -378,18 +405,29 @@ def global_gradient(problems, w) -> np.ndarray:
     return np.mean([local_gradient(p, w) for p in problems], axis=0)
 
 
-def _ridge_solve(problems) -> np.ndarray:
-    """Closed-form minimizer of a mean of ridge losses via the normal
-    equations."""
+def _ridge_means(problems) -> tuple[np.ndarray, np.ndarray, float]:
+    """(H + reg I, b, c) of a mean of ridge losses, from the node means of
+    each node's cached :attr:`~NodeProblem.gram` and
+    :attr:`~NodeProblem.moments`: the mean loss is
+    1/2 w^T (H + reg I) w - b^T w + 1/2 c."""
     d = problems[0].features.shape[1]
     h = np.zeros((d, d))
     b = np.zeros(d)
+    c = 0.0
     for p in problems:
-        h += p.features.T @ p.features / p.m
-        b += p.features.T @ p.targets / p.m
+        h += p.gram
+        pb, pc = p.moments
+        b += pb
+        c += pc
     k = len(problems)
-    h = h / k + problems[0].reg * np.eye(d)
-    return np.linalg.solve(h, b / k)
+    return h / k + problems[0].reg * np.eye(d), b / k, c / k
+
+
+def _ridge_solve(problems) -> np.ndarray:
+    """Closed-form minimizer of a mean of ridge losses via the normal
+    equations."""
+    h, b, _ = _ridge_means(problems)
+    return np.linalg.solve(h, b)
 
 
 # Gradient-norm target and iteration cap of the softmax optimum's polish

@@ -9,7 +9,9 @@ agree with the per-node library functions ``local_loss`` and
 and ``per_sample_grad_sq_norms`` of ``tests/oracles.py``, on random
 shards of unequal sizes, including one-sample shards, for single models
 and model stacks.  Only rounding differs, so the tolerance is 1e-12
-relative.
+relative.  Ridge scores from each node's cached Gram statistics rather
+than from the samples, so its losses are also held to ``local_loss`` on
+a suite of the default config, over stacks of every size a run scores.
 
 Both sides run the same per-sample kernel, so the losses of both are
 also held to the first-principles formulas of ``tests/oracles.py``.
@@ -18,15 +20,17 @@ also held to the first-principles formulas of ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gossipsim import objective
 from gossipsim.config import build_problem_suite, run_config_from_dict
 from gossipsim.diagnostics import gradient_gap
+from gossipsim.engine import advance_round, derive_streams, init_state, run_simulation
 from gossipsim.objective import (
     NodeProblem,
     ProblemSuite,
@@ -148,6 +152,53 @@ def test_stacked_scores_do_not_depend_on_the_block(kind):
         unpermuted[perm] = score(pool, stack[perm])
         assert unpermuted.tolist() == got.tolist()
         np.testing.assert_allclose(got, [reference(w) for w in stack], rtol=REL, atol=0)
+
+
+@cache
+def _default_ridge_suite():
+    return build_problem_suite(run_config_from_dict({}))
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 250), st.sampled_from([1e-3, 1.0, 1e3]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@example(1, 1.0, True, 0)
+def test_ridge_gram_loss_is_the_mean_of_local_losses(k, scale, around_optimum, seed):
+    # near w* the Gram form's terms cancel to f*, where rounding shows most
+    suite = _default_ridge_suite()
+    rng = np.random.default_rng(seed)
+    centre = suite.w_star if around_optimum else 0.0
+    stack = centre + scale * rng.normal(size=(k, suite.dimension))
+    want = [np.mean([local_loss(p, w) for p in suite.problems]) for w in stack]
+    got = global_loss(suite, stack)
+    np.testing.assert_allclose(got, want, rtol=REL, atol=0)
+    # one product per model: the same bits alone, in the stack and permuted
+    assert got.tolist() == [global_loss(suite, w) for w in stack]
+    perm = rng.permutation(k)
+    assert global_loss(suite, stack[perm]).tolist() == got[perm].tolist()
+
+
+def test_the_gram_cache_is_built_only_where_ridge_scoring_reads_it():
+    # softmax reads each node's H for its curvature constant, nothing more
+    cfg = run_config_from_dict({"n": 4, "rounds": 2, "suite": {"kind": "softmax", "total": 40}})
+    suite = build_problem_suite(cfg)
+    run_simulation(cfg.sim, suite)
+    assert all("gram" in vars(p) and "moments" not in vars(p) for p in suite.problems)
+    assert "ridge_means" not in vars(suite.pooled)
+
+    # ridge shards assembled by hand, as the bench's advance_round loop
+    # does, are only stepped: no set-up or scoring reads their Grams
+    sim = run_config_from_dict({"n": 30, "rounds": 3, "local_epochs": 1, "deemphasis": 0.5,
+                                "churn": {"dropout_p": 0.1, "lambda": 0.5}}).sim
+    streams = derive_streams(sim.seed)
+    x = streams["data"].standard_normal((sim.n * 4, 3))
+    y = x.sum(axis=1)
+    suite = _suite([NodeProblem(x[i:i + 4], y[i:i + 4], reg=0.1) for i in range(0, sim.n * 4, 4)])
+    state = init_state(sim, suite, streams)
+    for _ in range(sim.rounds):
+        state = advance_round(state, suite, sim, streams).state
+    assert not any(vars(p).keys() & {"gram", "moments"} for p in suite.problems)
+    assert "ridge_means" not in vars(suite.pooled)
 
 
 @SETTINGS
