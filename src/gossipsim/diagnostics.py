@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .accessibility import accessible_mask
-from .objective import _power, node_mean_gradient
+from .objective import _node_gradient_change, _power
 
 __all__ = [
     "TraceRow",
@@ -89,7 +89,8 @@ def gradient_gap(models, accessible, suite) -> float:
     at the accessible-group mean (weight 1/n) and each dropped node's
     gradient at its own model (weight 1/n).  Zero when nobody is dropped
     or when all models coincide.  ``suite`` is a ProblemSuite; its pooled
-    view is built on first use.
+    view is built on first use.  For ridge the difference is taken
+    through each node's Gram matrix, never as a difference of gradients.
     """
     arr = _as_models(models)
     mask = accessible_mask(arr.shape[0], accessible)
@@ -97,8 +98,7 @@ def gradient_gap(models, accessible, suite) -> float:
     if mask.any():
         split[mask] = arr[mask].mean(axis=0)
     full = np.broadcast_to(arr.mean(axis=0), arr.shape)
-    diff = node_mean_gradient(suite, split) - node_mean_gradient(suite, full)
-    return float(np.linalg.norm(diff))
+    return float(np.linalg.norm(_node_gradient_change(suite, split, full)))
 
 
 def gradient_gap_bound(models, accessible, smoothness: float, eta: float) -> tuple[float, float]:

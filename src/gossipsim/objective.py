@@ -248,6 +248,13 @@ class PooledShards:
         use; see :func:`_ridge_means`."""
         return _ridge_means(self.nodes)
 
+    @cached_property
+    def ridge_hessians(self) -> np.ndarray:
+        """Each node's H_i + reg I stacked as an (n d, d) matrix, built on
+        first use: the ridge gradient of node i is (H_i + reg I) w - b_i."""
+        eye = self.whole.reg * np.eye(self.whole.features.shape[1])
+        return np.concatenate([p.gram + eye for p in self.nodes])
+
 
 def pool_shards(problems) -> PooledShards:
     """Stack node problems that share kind, reg, class count and feature
@@ -360,6 +367,23 @@ def node_mean_gradient(problems, points) -> np.ndarray:
     dz = _sample_dloss(p.kind, np.einsum("sd,skd->sk", p.features, mats), p.targets)
     grad = (pool.sample_weights[:, None] * dz).T @ p.features
     return grad.ravel() + p.reg * points.mean(axis=0)
+
+
+def _node_gradient_change(problems, points, base) -> np.ndarray:
+    """(1/n) sum_i [grad F_i(points[i]) - grad F_i(base[i])] for (n, d)
+    ``points`` and ``base``.  Ridge gradients are affine, so this is
+    (1/n) sum_i (H_i + reg I)(points[i] - base[i]), one product with the
+    stacked node Hessians, with no subtraction of two nearly equal
+    gradients; softmax takes the difference of two
+    :func:`node_mean_gradient` calls."""
+    pool = _pooled(problems)
+    if pool.whole.kind != "ridge":
+        return node_mean_gradient(pool, points) - node_mean_gradient(pool, base)
+    delta = np.asarray(points, dtype=float) - base
+    if delta.shape != (pool.n, pool.whole.dim):
+        raise ValueError(f"points have shape {delta.shape}, expected ({pool.n}, {pool.whole.dim})")
+    # H_i is symmetric, so row block i of the stack applied as delta_i^T H_i is H_i delta_i
+    return delta.ravel() @ pool.ridge_hessians / pool.n
 
 
 def lockstep_gradient(pool: PooledShards, mats: np.ndarray, rows: np.ndarray,

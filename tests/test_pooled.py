@@ -184,7 +184,7 @@ def test_the_gram_cache_is_built_only_where_ridge_scoring_reads_it():
     suite = build_problem_suite(cfg)
     run_simulation(cfg.sim, suite)
     assert all("gram" in vars(p) and "moments" not in vars(p) for p in suite.problems)
-    assert "ridge_means" not in vars(suite.pooled)
+    assert not vars(suite.pooled).keys() & {"ridge_means", "ridge_hessians"}
 
     # ridge shards assembled by hand, as the bench's advance_round loop
     # does, are only stepped: no set-up or scoring reads their Grams
@@ -198,7 +198,7 @@ def test_the_gram_cache_is_built_only_where_ridge_scoring_reads_it():
     for _ in range(sim.rounds):
         state = advance_round(state, suite, sim, streams).state
     assert not any(vars(p).keys() & {"gram", "moments"} for p in suite.problems)
-    assert "ridge_means" not in vars(suite.pooled)
+    assert not vars(suite.pooled).keys() & {"ridge_means", "ridge_hessians"}
 
 
 @SETTINGS
@@ -296,6 +296,8 @@ def test_pooling_rejects_mixed_problems_and_wrong_model_shapes():
         global_loss(pool_shards([NodeProblem(x, y, reg=0.1)]), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         node_mean_gradient(pool_shards([NodeProblem(x, y, reg=0.1)]), np.zeros((2, 2)))
+    with pytest.raises(ValueError):  # the ridge gap's Gram path checks the model count too
+        gradient_gap(np.ones((2, 2)), np.array([True, False]), _suite([NodeProblem(x, y, reg=0.1)]))
 
 
 def test_a_list_of_node_problems_is_not_pooled_on_the_fly():
