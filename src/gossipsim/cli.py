@@ -110,7 +110,7 @@ def _check_samples(config: RunConfig) -> None:
     one sample each, or ``per_node`` each under the i.i.d. split (alpha =
     inf).  Not part of parsing: a config that never builds a suite may have fewer."""
     part, n, total = config.partition, config.sim.n, config.suite.total
-    need = n * part.per_node if math.isinf(part.alpha) and part.per_node else n
+    need = n * part.per_node if part.per_node else n
     if total < need:
         raise ConfigError(f"suite.total {total} is too small: {n} nodes need at least {need} samples")
 

@@ -40,7 +40,7 @@ class Dataset:
 class PartitionConfig:
     """``alpha`` is the Dirichlet concentration; an infinite alpha is the
     i.i.d. split.  ``per_node`` is the i.i.d. shard size (0 means split
-    everything); a finite alpha ignores it."""
+    everything); a nonzero ``per_node`` with a finite alpha is an error."""
 
     alpha: float = 10.0
     per_node: int = 0
@@ -50,6 +50,9 @@ class PartitionConfig:
             raise ValueError("alpha must be positive")
         if self.per_node < 0:
             raise ValueError("per_node must be nonnegative")
+        if self.per_node and not math.isinf(self.alpha):
+            raise ValueError("partition.per_node is the i.i.d. split's shard size, so it must "
+                             f"be 0 unless alpha is inf (got {self.per_node})")
 
 
 def _largest_remainder(targets: np.ndarray, total: int) -> np.ndarray:

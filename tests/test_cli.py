@@ -699,6 +699,26 @@ def test_check_parses_the_manifest_config_like_a_config_file(tmp_path, capsys, e
     assert reason in captured.err
 
 
+def test_run_rejects_a_shard_size_under_a_finite_alpha(tmp_path, capsys):
+    # per_node sizes the i.i.d. split only; a Dirichlet split used to
+    # ignore it and echo it in the manifest
+    cfg = _write_config(tmp_path, {"n": 4, "rounds": 3, "suite": {"total": 40},
+                                   "partition": {"alpha": 1.0, "per_node": 500}})
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "partition.per_node" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_rejects_an_alpha_axis_that_leaves_a_shard_size_behind(tmp_path, capsys):
+    cfg = _write_config(tmp_path, dict(SMALL, partition={"alpha": "inf", "per_node": 10}))
+    code = main(["sweep", "--config", cfg, "--axis", "alpha", "--values", "inf,1",
+                 "--seeds", "1", "--out", str(tmp_path / "s")])
+    assert code == EXIT_USAGE
+    assert "partition.per_node" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize("patch, code, message", [
     ({"suite": {"total": 13}}, EXIT_USAGE, "suite.total 13 is too small: 14 nodes"),
     ({"partition": {"alpha": "inf", "per_node": 21}}, EXIT_USAGE, "need at least 294 samples"),

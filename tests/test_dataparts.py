@@ -68,6 +68,8 @@ def test_partition_config_validation():
         PartitionConfig(alpha=0.0)
     with pytest.raises(ValueError):
         PartitionConfig(alpha=math.inf, per_node=-1)
+    with pytest.raises(ValueError, match="per_node"):
+        PartitionConfig(alpha=1.0, per_node=5)
 
 
 def test_iid_histograms_track_global_within_one():
