@@ -16,7 +16,6 @@ from .accessibility import (
     absence_duration,
     accessible_mask,
     init_accessibility,
-    rounds_since_accessible,
     step_accessibility,
 )
 from .config import ConfigError, RunConfig, SuiteSpec, build_problem_suite, load_run_config

@@ -1,5 +1,5 @@
 """Per-round node churn: Bernoulli dropout with exponentially distributed
-absence durations, plus bookkeeping of when each node last took part.
+absence durations.
 
 The state machine here tracks churn only.  Whether a node can actually
 exchange models additionally depends on the connectivity graph; the engine
@@ -19,13 +19,8 @@ __all__ = [
     "init_accessibility",
     "step_accessibility",
     "absence_duration",
-    "rounds_since_accessible",
     "accessible_mask",
-    "NEVER",
 ]
-
-# The rejoin round of an absence that outlasts int64: no run reaches it.
-NEVER = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -44,32 +39,24 @@ class ChurnConfig:
             raise ValueError("rate must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AccessibilityState:
-    """Per node, the round a dropped node rejoins (-1 while it is
-    accessible, :data:`NEVER` if it never does) and the last round it was
-    accessible (-1 before the first round)."""
+    """Per node, the round a dropped node rejoins as a float: -1 while it
+    is accessible, +inf if it never does.  A finite rejoin round is exact
+    below 2**53 rounds."""
 
     rejoin_at: np.ndarray
-    last_accessible: np.ndarray
 
     @property
     def accessible(self) -> np.ndarray:
         """Mask of the nodes not waiting to rejoin (a fresh array)."""
         return self.rejoin_at < 0
 
-    @property
-    def n(self) -> int:
-        return self.rejoin_at.shape[0]
-
-    def copy(self) -> "AccessibilityState":
-        return AccessibilityState(self.rejoin_at.copy(), self.last_accessible.copy())
-
 
 def init_accessibility(n: int) -> AccessibilityState:
     if n < 1:
         raise ValueError("need at least one node")
-    return AccessibilityState(np.full(n, -1, dtype=np.int64), np.full(n, -1, dtype=np.int64))
+    return AccessibilityState(np.full(n, -1.0))
 
 
 def absence_duration(rate: float, rng: np.random.Generator) -> float:
@@ -80,14 +67,6 @@ def absence_duration(rate: float, rng: np.random.Generator) -> float:
     return float(rng.exponential(1.0 / rate))
 
 
-def _rejoin_round(t: int, duration: float) -> int:
-    """``t + ceil(duration)``, saturated at :data:`NEVER` (an infinite
-    duration included)."""
-    if not duration < NEVER - t:
-        return NEVER
-    return t + math.ceil(duration)
-
-
 def step_accessibility(
     state: AccessibilityState, cfg: ChurnConfig, t: int, rng: np.random.Generator
 ) -> AccessibilityState:
@@ -96,28 +75,19 @@ def step_accessibility(
     Dropped nodes whose rejoin round has arrived come back first.  Then
     every node that began the round accessible (a node that just rejoined
     is not eligible again until the next round) independently drops with
-    probability ``dropout_p`` and is scheduled to rejoin after
-    ceil(Exp(rate)) whole rounds, or never if that round is past int64.
-    Finally ``last_accessible`` is stamped for all nodes accessible at the
-    end of the round.
+    probability ``dropout_p``, in ascending node id, and is scheduled to
+    rejoin after ceil(Exp(rate)) whole rounds, or never after an infinite
+    draw.
     """
-    out = state.copy()
-    eligible = np.flatnonzero(state.accessible)
-    out.rejoin_at[out.rejoin_at <= t] = -1
+    rejoin_at = state.rejoin_at.copy()
+    eligible = np.flatnonzero(rejoin_at < 0)
+    rejoin_at[rejoin_at <= t] = -1
     if cfg.dropout_p > 0.0:
         for i in eligible:
             if rng.random() < cfg.dropout_p:
-                out.rejoin_at[i] = _rejoin_round(t, absence_duration(cfg.rate, rng))
-    out.last_accessible[out.accessible] = t
-    return out
-
-
-def rounds_since_accessible(state: AccessibilityState, t: int, i: int) -> int:
-    """Rounds elapsed since node ``i`` was last accessible; 0 when it is
-    accessible at round ``t``."""
-    if not 0 <= i < state.n:
-        raise ValueError(f"unknown node id {i}")
-    return int(t - state.last_accessible[i])
+                duration = absence_duration(cfg.rate, rng)
+                rejoin_at[i] = t + math.ceil(duration) if duration < math.inf else math.inf
+    return AccessibilityState(rejoin_at)
 
 
 def accessible_mask(n: int, accessible) -> np.ndarray:

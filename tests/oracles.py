@@ -196,15 +196,14 @@ def mix_in_row_order(models: np.ndarray, matrix) -> np.ndarray:
     return out
 
 
-def step_accessibility_dict(accessible, rejoin_at, last_accessible, cfg, t, rng):
+def step_accessibility_dict(accessible, rejoin_at, cfg, t, rng):
     """The churn step on a boolean mask plus a dict {node: rejoin round},
     walked in sorted node order: the definition the array state must
     reproduce exactly, draws from ``rng`` included.  Rejoin rounds are
     unbounded Python ints, ``math.inf`` for an infinite absence.  Returns
-    new ``(accessible, rejoin_at, last_accessible)``."""
+    new ``(accessible, rejoin_at)``."""
     accessible = accessible.copy()
     rejoin_at = dict(rejoin_at)
-    last_accessible = last_accessible.copy()
     eligible = accessible.copy()
     for i in sorted(rejoin_at):
         if rejoin_at[i] <= t:
@@ -215,8 +214,7 @@ def step_accessibility_dict(accessible, rejoin_at, last_accessible, cfg, t, rng)
             accessible[i] = False
             absence = float(rng.exponential(1.0 / cfg.rate))
             rejoin_at[i] = t + math.ceil(absence) if math.isfinite(absence) else math.inf
-    last_accessible[accessible] = t
-    return accessible, rejoin_at, last_accessible
+    return accessible, rejoin_at
 
 
 def gap_bound_loop(models: np.ndarray, mask: np.ndarray, smoothness: float, eta: float):

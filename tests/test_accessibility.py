@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from gossipsim.accessibility import (
-    NEVER,
     ChurnConfig,
     absence_duration,
     init_accessibility,
-    rounds_since_accessible,
     step_accessibility,
 )
 from oracles import step_accessibility_dict
@@ -56,7 +54,7 @@ def test_dropped_node_returns_after_scheduled_round():
     rng = np.random.default_rng(1)
     st = step_accessibility(st, cfg, 0, rng)
     assert not st.accessible[0]
-    rejoin = st.rejoin_at[0]
+    rejoin = int(st.rejoin_at[0])
     assert rejoin >= 1
     for t in range(1, rejoin):
         st = step_accessibility(st, ChurnConfig(dropout_p=0.0), t, rng)
@@ -77,50 +75,6 @@ def test_just_rejoined_node_not_dropped_same_round():
     assert st.accessible[0]
     st = step_accessibility(st, cfg, 2, rng)
     assert not st.accessible[0]
-
-
-def test_rounds_since_accessible_zero_when_accessible():
-    st = init_accessibility(3)
-    rng = np.random.default_rng(0)
-    st = step_accessibility(st, ChurnConfig(dropout_p=0.0), 4, rng)
-    assert rounds_since_accessible(st, 4, 1) == 0
-
-
-def test_rounds_since_accessible_counts_gap():
-    st = init_accessibility(2)
-    st.last_accessible[0] = 5
-    assert rounds_since_accessible(st, 8, 0) == 3
-
-
-def test_rounds_since_accessible_resets_on_rejoin():
-    st = init_accessibility(1)
-    rng = np.random.default_rng(0)
-    st = step_accessibility(st, ChurnConfig(dropout_p=1.0, rate=0.5), 0, rng)
-    rejoin = st.rejoin_at[0]
-    for t in range(1, rejoin + 1):
-        st = step_accessibility(st, ChurnConfig(dropout_p=0.0), t, rng)
-    assert st.accessible[0]
-    assert rounds_since_accessible(st, rejoin, 0) == 0
-
-
-def test_rounds_since_accessible_increases_by_one_per_absent_round():
-    st = init_accessibility(1)
-    rng = np.random.default_rng(5)
-    st = step_accessibility(st, ChurnConfig(dropout_p=1.0, rate=0.2), 0, rng)
-    rejoin = st.rejoin_at[0]
-    previous = rounds_since_accessible(st, 0, 0)
-    for t in range(1, rejoin):
-        st = step_accessibility(st, ChurnConfig(dropout_p=0.0), t, rng)
-        current = rounds_since_accessible(st, t, 0)
-        assert current == previous + 1
-        assert current >= 0
-        previous = current
-
-
-def test_unknown_node_rejected():
-    st = init_accessibility(3)
-    with pytest.raises(ValueError):
-        rounds_since_accessible(st, 0, 3)
 
 
 def test_mean_inaccessible_count_near_reported_setting():
@@ -146,7 +100,6 @@ def test_invariant_rejoin_map_matches_flags():
         dropped = ~st.accessible
         assert (st.rejoin_at[dropped] > t).all()
         assert (st.rejoin_at[~dropped] == -1).all()
-        assert np.all(st.last_accessible <= t)
 
 
 @settings(max_examples=80)
@@ -162,26 +115,35 @@ def test_property_array_state_matches_dict_reference(n, dropout_p, rate, rounds,
     cfg = ChurnConfig(dropout_p=dropout_p, rate=rate)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     state = init_accessibility(n)
-    accessible, rejoin_at, last = np.ones(n, dtype=bool), {}, np.full(n, -1, dtype=np.int64)
+    accessible, rejoin_at = np.ones(n, dtype=bool), {}
     for t in range(rounds):
         state = step_accessibility(state, cfg, t, rng)
-        accessible, rejoin_at, last = step_accessibility_dict(
-            accessible, rejoin_at, last, cfg, t, ref_rng
-        )
+        accessible, rejoin_at = step_accessibility_dict(accessible, rejoin_at, cfg, t, ref_rng)
         assert np.array_equal(state.accessible, accessible)
         scheduled = np.flatnonzero(state.rejoin_at >= 0)
-        assert {int(i): int(state.rejoin_at[i]) for i in scheduled} == {
-            i: min(r, NEVER) for i, r in rejoin_at.items()}
-        assert np.array_equal(state.last_accessible, last)
+        assert {int(i): float(state.rejoin_at[i]) for i in scheduled} == {
+            i: float(r) for i, r in rejoin_at.items()}
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("rate", [1e-300, 5e-324])
 def test_absence_past_int64_never_rejoins(rate):
+    # 1e-300 draws a finite absence near 1e300 rounds, 5e-324 an infinite one
     cfg = ChurnConfig(dropout_p=1.0, rate=rate)
     state = step_accessibility(init_accessibility(3), cfg, 0, np.random.default_rng(0))
-    assert (state.rejoin_at == NEVER).all()
+    assert (state.rejoin_at > 2.0**63).all()
+    assert np.isinf(state.rejoin_at).all() == (rate == 5e-324)
     for t in range(1, 5):
         state = step_accessibility(state, cfg, t, np.random.default_rng(t))
         assert not state.accessible.any()
-        assert np.array_equal(state.last_accessible, [-1, -1, -1])
+
+
+def test_finite_absence_past_int64_never_rejoins_within_the_run():
+    # at rate 1e-19 the mean absence is 1e19 rounds; seed 0's draw is a
+    # finite absence past 2**63, which int64 rounds could not hold
+    cfg = ChurnConfig(dropout_p=1.0, rate=1e-19)
+    state = step_accessibility(init_accessibility(1), cfg, 0, np.random.default_rng(0))
+    assert 2.0**63 < state.rejoin_at[0] < np.inf
+    for t in range(1, 50):
+        state = step_accessibility(state, cfg, t, np.random.default_rng(t))
+        assert not state.accessible[0]
