@@ -30,9 +30,7 @@ was within 7.5e-16 of the sample sum, relative.
 The gradient gap is (1/n) sum_i (H_i + reg I)(split_i - full_i), one
 product with the nodes' stacked H_i + reg I.  The curvature constant, w*
 and every local optimum read the same H_i and b_i, so set-up builds each
-node's Gram once.  On the n=100 ridge bench config a round's loss took
-0.04 ms instead of 1.21 ms and its gap 0.09 ms instead of 0.23 ms
-(traced, 2-core Xeon, OpenBLAS 0.3.31, one thread).
+node's Gram once, and w* solves with the node means the scorers cache.
 
 Softmax has no such closed form and runs over one pooled view of the
 shards (:class:`PooledShards`): the samples stacked in node order with
@@ -320,8 +318,7 @@ def _model_stack(pool: PooledShards, models) -> tuple[np.ndarray, bool]:
 # ridge scores from the Gram statistics and builds no blocks.  Scoring 100
 # models on 2000 samples took 1.2-1.4 ms with blocks of 64-128 KB and
 # 2.5-4 ms with blocks of 256 KB or more, whose temporaries no longer stay
-# in cache (2-core Xeon, OpenBLAS 0.3.31, one thread).  Since ridge left
-# the block path, 100 ridge models score in 0.04 ms a round.
+# in cache (2-core Xeon, OpenBLAS 0.3.31, one thread).
 _BLOCK_BYTES = 64 * 1024
 
 
@@ -467,10 +464,10 @@ def _ridge_means(problems) -> tuple[np.ndarray, np.ndarray, float]:
     return h / k + problems[0].reg * np.eye(d), b / k, c / k
 
 
-def _ridge_solve(problems) -> np.ndarray:
-    """Closed-form minimizer of a mean of ridge losses via the normal
-    equations."""
-    h, b, _ = _ridge_means(problems)
+def _ridge_solve(means) -> np.ndarray:
+    """Closed-form minimizer of a mean of ridge losses with the given
+    :func:`_ridge_means`, via the normal equations."""
+    h, b, _ = means
     return np.linalg.solve(h, b)
 
 
@@ -506,7 +503,7 @@ def _minimize(problems) -> np.ndarray:
     below ``_GRAD_TOL``; failure to converge within the cap is an error.
     """
     if problems[0].kind == "ridge":
-        return _ridge_solve(problems)
+        return _ridge_solve(_ridge_means(problems))
     # L-BFGS is fed per-node sums: its line search turns last-digit changes
     # of the loss into shifts of the optimum near its 1e-10 tolerance
     res = minimize(
@@ -525,19 +522,17 @@ def local_optimum(p: NodeProblem):
     return w, local_loss(p, w)
 
 
-def heterogeneity_gap(problems, w_star, local_values) -> float:
-    """Data-heterogeneity measure: the global optimal value minus the mean
-    of the per-node optimal values.
+def heterogeneity_gap(f_star: float, local_values) -> float:
+    """Data-heterogeneity measure: the global optimal value ``f_star``
+    minus the mean of the per-node optimal values.
 
-    ``problems`` is as in :func:`global_loss`.  Gossip with a doubly
-    stochastic matrix minimizes the unweighted mean of the node losses,
-    so every node weighs 1/n, and the gap is the mean of
-    F_i(w*) - F_i^*, a mean of nonnegative terms.  Identical shards give
-    0.  Tiny negative float residue (>= -1e-10) is clamped to 0.
+    Gossip with a doubly stochastic matrix minimizes the unweighted mean
+    of the node losses, so every node weighs 1/n, and the gap is the mean
+    of F_i(w*) - F_i^*, a mean of nonnegative terms.  Identical shards
+    give 0.  Tiny negative float residue (>= -1e-10) is clamped to 0.
     """
-    pool = _pooled(problems)
-    share = 1.0 / pool.n
-    gap = global_loss(pool, w_star) - sum(share * v for v in local_values)
+    share = 1.0 / len(local_values)
+    gap = f_star - sum(share * v for v in local_values)
     if -1e-10 <= gap < 0.0:
         return 0.0
     return float(gap)
@@ -624,14 +619,14 @@ def build_suite(
             features = features * np.sqrt(target_curvature / top)
             problems = make_problems(features)
 
-    # one pooled view scores the optimum, the gap and the bound, and is
-    # the suite's own
+    # one pooled view scores the optimum and the bound, and is the suite's
+    # own; a ridge w* reads the node means its scorers cache on it
     pool = pool_shards(problems)
     smooth, strong = constants(problems)
-    w_star = _minimize(problems)
+    w_star = _ridge_solve(pool.ridge_means) if kind == "ridge" else _minimize(problems)
     f_star = global_loss(pool, w_star)
     local_opts = [local_optimum(p) for p in problems]
-    gap = heterogeneity_gap(pool, w_star, [v for _, v in local_opts])
+    gap = heterogeneity_gap(f_star, [v for _, v in local_opts])
     probes = [np.zeros(problems[0].dim), w_star] + [w for w, _ in local_opts]
     bound = grad_bound_estimate(pool, probes)
     suite = ProblemSuite(

@@ -160,7 +160,7 @@ def test_gamma_zero_for_identical_shards():
     y = rng.normal(size=10)
     suite = build_suite(x, y, [np.arange(10)] * 5, reg=0.1)
     values = [local_optimum(p)[1] for p in suite.problems]
-    assert heterogeneity_gap(pool_shards(suite.problems), suite.w_star, values) < 1e-8
+    assert heterogeneity_gap(suite.f_star, values) < 1e-8
 
 
 def test_gamma_hand_value_for_disjoint_targets():
@@ -174,7 +174,7 @@ def test_gamma_hand_value_for_disjoint_targets():
     values = [local_optimum(p)[1] for p in (a, b)]
     assert values[0] == pytest.approx(0.0)
     assert values[1] == pytest.approx(2.0 / 11.0)
-    gap = heterogeneity_gap(pool_shards([a, b]), w_star, values)
+    gap = heterogeneity_gap(f_star, values)
     assert gap == pytest.approx(5.0 / 11.0)
     assert gap > 0
 

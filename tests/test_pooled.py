@@ -268,6 +268,23 @@ def test_one_suite_build_pools_the_shards_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_one_ridge_suite_build_sums_the_node_grams_once(monkeypatch):
+    # w*, f* and the per-round scorers read one set of network means
+    calls = []
+    ridge_means = objective._ridge_means
+
+    def counted(problems):
+        calls.append(len(problems))
+        return ridge_means(problems)
+
+    monkeypatch.setattr(objective, "_ridge_means", counted)
+    suite = build_problem_suite(run_config_from_dict({}))
+    assert suite.kind == "ridge" and suite.n > 1
+    assert calls.count(suite.n) == 1
+    global_loss(suite, suite.w_star)
+    assert calls.count(suite.n) == 1
+
+
 @SETTINGS
 @given(shards(), st.data())
 def test_lockstep_gradient_matches_local_gradient_per_node(case, data):
