@@ -291,11 +291,12 @@ def test_sweep_summary_matches_recomputation(tmp_path):
 
 def test_sweep_alpha_axis_accepts_inf(tmp_path):
     cfg = _write_config(tmp_path, SMALL)
-    out = tmp_path / "sweep"
-    code = main(["sweep", "--config", cfg, "--axis", "alpha",
-                 "--values", "1,inf", "--seeds", "1", "--out", str(out)])
-    assert code == EXIT_OK
-    assert (out / "runs" / "alpha=inf" / "seed=1" / "trace.csv").exists()
+    for spelling in ("inf", "INF", " Infinity"):  # float() reads every case and spacing
+        out = tmp_path / f"sweep-{spelling.strip()}"
+        code = main(["sweep", "--config", cfg, "--axis", "alpha",
+                     "--values", f"1,{spelling}", "--seeds", "1", "--out", str(out)])
+        assert code == EXIT_OK
+        assert (out / "runs" / "alpha=inf" / "seed=1" / "trace.csv").exists()
 
 
 def test_sweep_unknown_axis_exits_two(tmp_path, capsys):
