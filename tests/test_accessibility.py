@@ -140,7 +140,7 @@ def test_absence_past_int64_never_rejoins(rate):
 
 def test_finite_absence_past_int64_never_rejoins_within_the_run():
     # at rate 1e-19 the mean absence is 1e19 rounds; seed 0's draw is a
-    # finite absence past 2**63, which int64 rounds could not hold
+    # finite absence past 2**63, the int64 limit
     cfg = ChurnConfig(dropout_p=1.0, rate=1e-19)
     state = step_accessibility(init_accessibility(1), cfg, 0, np.random.default_rng(0))
     assert 2.0**63 < state.rejoin_at[0] < np.inf
