@@ -3,7 +3,10 @@ communication graph.
 
 Every function is a pure state transition: callers own the state and the
 RNG stream, so independent simulations can run side by side without any
-shared mutable data.
+shared mutable data.  The one exception is a cache: ``connectivity``
+keeps a neighbour list on the state it is given, and ``step_mobility``
+hands it on, so later rounds skip the KD-tree.  The cache never changes
+a result: the links depend only on the positions and the radius.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ __all__ = [
     "connectivity",
     "write_trajectory_csv",
 ]
+
+# Verlet's skin, as a fraction of the radius: the neighbour list holds the
+# pairs within radius * (1 + SKIN) and stays valid until some node has
+# moved SKIN * radius / 2 from where it was when the list was built.
+SKIN = 0.2
 
 
 @dataclass(frozen=True)
@@ -53,26 +61,42 @@ class MobilityConfig:
             raise ValueError("step must be positive")
 
 
+@dataclass(frozen=True)
+class NeighbourList:
+    """Candidate links for :func:`connectivity`: ``pairs`` is a (2, k)
+    array of the node pairs i < j within ``radius * (1 + SKIN)`` of each
+    other at ``anchors``, the positions the list was built from, sorted by
+    ``(i, j)``."""
+
+    radius: float
+    anchors: np.ndarray
+    pairs: np.ndarray
+
+
 @dataclass
 class MobilityState:
     """Positions, current waypoints, speeds and remaining pause times for
-    all nodes.  Arrays are (n, 2) for coordinates and (n,) otherwise."""
+    all nodes.  Arrays are (n, 2) for coordinates and (n,) otherwise.
+    ``near`` is :func:`connectivity`'s cached neighbour list, or None."""
 
     positions: np.ndarray
     waypoints: np.ndarray
     speeds: np.ndarray
     pause_remaining: np.ndarray
+    near: NeighbourList | None = None
 
     @property
     def n(self) -> int:
         return self.positions.shape[0]
 
     def copy(self) -> "MobilityState":
+        """A copy of the arrays; the immutable neighbour list is shared."""
         return MobilityState(
             self.positions.copy(),
             self.waypoints.copy(),
             self.speeds.copy(),
             self.pause_remaining.copy(),
+            self.near,
         )
 
 
@@ -154,21 +178,52 @@ def step_mobility(state: MobilityState, cfg: MobilityConfig, rng: np.random.Gene
     return out
 
 
+def _neighbour_list(state: MobilityState, radius: float) -> NeighbourList:
+    """The state's neighbour list if it still holds every pair within
+    ``radius``, else a fresh one, which the state then keeps.
+
+    A list built at ``anchors`` holds every pair within ``radius + skin``
+    there.  While no node is more than ``skin / 2`` from its anchor, no
+    pair can have closed from beyond ``radius + skin`` to within
+    ``radius``, so the list still holds every link."""
+    near, positions = state.near, state.positions
+    skin = SKIN * radius
+    if near is not None and near.radius == radius and near.anchors.shape == positions.shape:
+        moved = positions - near.anchors
+        if np.einsum("ij,ij->i", moved, moved).max(initial=0.0) <= 0.25 * skin * skin:
+            return near
+    n = state.n
+    tree = cKDTree(positions, balanced_tree=False, compact_nodes=False)
+    pairs = tree.query_pairs((radius + skin) * (1.0 + 1e-9), output_type="ndarray")
+    keys = pairs[:, 0] * n + pairs[:, 1]
+    keys.sort()
+    i = keys // n
+    near = NeighbourList(radius, positions.copy(), np.stack((i, keys - i * n)))
+    state.near = near
+    return near
+
+
 def connectivity(state: MobilityState, radius: float) -> Adjacency:
     """Disk model links: nodes are connected iff their Euclidean distance
-    is at most ``radius``, i.e. ``dx*dx + dy*dy <= radius*radius``.
+    is at most ``radius``, i.e. ``dx*dx + dy*dy <= radius*radius``.  The
+    links come sorted by ``(i, j)``.
 
     A KD-tree proposes the pairs within a slightly larger radius, and the
     exact squared-distance test decides, so no pair on the boundary
-    depends on the tree's own rounding."""
+    depends on the tree's own rounding.  The proposals are kept on the
+    state as a Verlet neighbour list (see :data:`SKIN`) and asked for
+    again only once some node has moved too far; the links are the same
+    either way."""
     if not radius > 0:
         raise ValueError("radius must be positive")
-    pairs = cKDTree(state.positions).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
-    i, j = pairs.T.copy()
+    cand = _neighbour_list(state, radius).pairs
+    i, j = cand
     x, y = state.positions.T.copy()
     dx, dy = x[i] - x[j], y[i] - y[j]
     keep = dx * dx + dy * dy <= radius * radius
-    return Adjacency(state.n, pairs[keep])
+    # np.compress along the pair axis is several times faster than a
+    # boolean index into the (2, k) array
+    return Adjacency(state.n, np.compress(keep, cand, axis=1).T)
 
 
 def write_trajectory_csv(path, snapshots) -> None:

@@ -5,6 +5,7 @@ must not need any n-by-n array."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -116,6 +117,38 @@ def test_property_link_set_equals_the_dense_disk_graph(placement):
     assert np.array_equal(adj.edges.toarray(), dense_links(positions, radius))
 
 
+def _check_links(state: MobilityState, radius: float) -> None:
+    n = state.n
+    adj = connectivity(state, radius)
+    keys = adj.pairs[:, 0] * n + adj.pairs[:, 1]
+    assert np.all(adj.pairs[:, 0] < adj.pairs[:, 1]) and np.all(np.diff(keys) > 0)
+    assert np.array_equal(adj.edges.toarray(), dense_links(state.positions, radius))
+    fresh = connectivity(dataclasses.replace(state, near=None), radius)
+    assert np.array_equal(adj.pairs, fresh.pairs)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_property_cached_links_equal_the_dense_disk_graph(data):
+    """``connectivity`` carried through ``step_mobility``'s states, so its
+    neighbour list is reused while it holds.  The radius may change
+    between steps, and after a step's call a node may jump in place and
+    the same state be asked again: the list's anchors must notice.  The
+    links are the disk graph's, sorted by (i, j), and equal a call with
+    no cached list."""
+    cfg, state, seed, steps = data.draw(waypoint_runs(pause_zero=False))
+    radii = data.draw(st.lists(st.floats(0.5, 400.0), min_size=1, max_size=2))
+    rng = np.random.default_rng(seed)
+    for _ in range(min(steps, 30)):
+        state = step_mobility(state, cfg, rng)
+        radius = data.draw(st.sampled_from(radii))
+        _check_links(state, radius)
+        if data.draw(st.booleans()):
+            state.positions[data.draw(st.integers(0, state.n - 1))] = rng.uniform(
+                0.0, cfg.area_width, 2)
+            _check_links(state, radius)
+
+
 @st.composite
 def mixing_rounds(draw):
     """(positions, radius, accessible mask, rejoining mask, factor, models)."""
@@ -187,7 +220,8 @@ def test_property_verification_agrees_across_input_forms(drawn):
 
 def test_network_round_at_ten_thousand_nodes_stays_sparse():
     # net-n2000's density (2000 nodes in 5 km x 5 km) at n = 10^4; a dense
-    # boolean n-by-n alone would take 100 MB
+    # boolean n-by-n alone would take 100 MB.  Two rounds: the first builds
+    # connectivity's neighbour list, the second reads it
     n, side = 10_000, 5000.0 * math.sqrt(5.0)
     cfg = MobilityConfig(area_width=side, area_height=side, radius=250.0)
     rng = np.random.default_rng(0)
@@ -198,15 +232,18 @@ def test_network_round_at_ten_thousand_nodes_stays_sparse():
 
     tracemalloc.start()
     try:
-        state = step_mobility(state, cfg, rng)
-        adj = connectivity(state, cfg.radius)
-        matrix = deemphasize_rejoined(build_gossip_matrix(adj, accessible), rejoining, 0.5)
-        mixed = gossip_average(models, matrix)
+        for _ in range(2):
+            state = step_mobility(state, cfg, rng)
+            near = state.near
+            adj = connectivity(state, cfg.radius)
+            matrix = deemphasize_rejoined(build_gossip_matrix(adj, accessible), rejoining, 0.5)
+            mixed = gossip_average(models, matrix)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert near is not None and state.near is near  # the second round read the list
     assert len(adj.pairs) > n  # about 16 neighbours per node
     assert verify_doubly_stochastic(matrix, 1e-12)
     assert np.allclose(mixed.mean(axis=0), models.mean(axis=0), rtol=0.0, atol=1e-12)
