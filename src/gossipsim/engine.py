@@ -117,13 +117,16 @@ class SimConfig:
 @dataclass
 class SimState:
     """Mutable simulation state: one model per node, mobility and churn
-    state, the round counter, and last round's participating set."""
+    state, the round counter, and last round's participating set.
+    ``layout`` is the last round's SGD batch layout, reused while it fits
+    (see :class:`BatchLayout`); it never changes a result."""
 
     models: np.ndarray
     mobility: MobilityState
     access: AccessibilityState
     round: int
     participating: np.ndarray
+    layout: BatchLayout | None = None
 
 
 @dataclass
@@ -166,18 +169,49 @@ def init_state(cfg: SimConfig, suite: ProblemSuite, streams: dict) -> SimState:
 local_gradient = lockstep_gradient
 
 
-def _lockstep_batches(pool: PooledShards, nodes: np.ndarray, epochs: int, batch_size: int, rng):
-    """Every node's mini-batches laid out as lockstep steps.
+@dataclass(frozen=True)
+class BatchLayout:
+    """Where every training node's shuffled samples land in the lockstep
+    steps: all of :func:`_lockstep_batches` but the draws.
 
-    Node i draws a permutation of its m_i samples once per epoch, nodes in
-    the order given, and its epoch e, position j sample lands in step
-    ``e * ceil(m_i / B) + j // B`` at slot ``j % B``.  Nodes are ranked by
-    step count, most first, so the nodes with a batch at step s are ranks
-    ``0 .. active[s] - 1``.  Returns ``(ranked, active, rows, counts)``:
-    the nodes in rank order, and per step s its batches ``rows[s]``, an
-    (active[s], width) array of pooled row indices whose padding slots
-    hold row 0, and ``counts[s]``, each batch's true size.
+    It is a pure function of the key ``(sizes, nodes, epochs,
+    batch_size)``, the pool's shard sizes and the training ids, so a
+    state carries it to the next round, which reuses it while the key is
+    the same.  Node i draws a permutation of its m_i samples once per
+    epoch, nodes in the order given, and its epoch e, position j sample
+    lands in step ``e * ceil(m_i / B) + j // B`` at slot ``j % B``.  Nodes
+    are ranked by step count, most first, so the nodes with a batch at
+    step s are ranks ``0 .. active[s] - 1``.
+
+    ``source`` is every drawn sample's pooled row before the shuffle,
+    block by block (one block per node and epoch, node-major); ``runs``
+    are the ``(start, end, length)`` spans of its runs of equal-length
+    blocks; ``dest`` is each drawn sample's slot in the flat array of all
+    steps' batches, ``width`` columns a batch.  Step s's batches are the
+    rows of ``flat[spans[s][0] : spans[s][1]]``, and ``counts[s]`` their
+    true sizes.
     """
+
+    sizes: np.ndarray
+    nodes: np.ndarray
+    epochs: int
+    batch_size: int
+    ranked: np.ndarray
+    active: list
+    width: int
+    source: np.ndarray
+    runs: list
+    dest: np.ndarray
+    spans: list
+    counts: list
+
+    def fits(self, pool: PooledShards, nodes: np.ndarray, epochs: int, batch_size: int) -> bool:
+        return (self.epochs == epochs and self.batch_size == batch_size
+                and np.array_equal(self.nodes, nodes) and np.array_equal(self.sizes, pool.sizes))
+
+
+def _batch_layout(pool: PooledShards, nodes: np.ndarray, epochs: int, batch_size: int) -> BatchLayout:
+    """The :class:`BatchLayout` of training ``nodes`` over ``pool``."""
     sizes = pool.sizes[nodes]
     width = min(batch_size, int(sizes.max()))
     per_epoch = -(-sizes // batch_size)
@@ -186,45 +220,57 @@ def _lockstep_batches(pool: PooledShards, nodes: np.ndarray, epochs: int, batch_
     rank = np.empty_like(rank_order)
     rank[rank_order] = np.arange(nodes.size)
     active = nodes.size - np.cumsum(np.bincount(steps))[:-1]
-    # one block of draws per node and epoch, node-major; sample by sample,
-    # its node, epoch and position j within the epoch
+    # sample by sample, in draw order: its block's node, epoch and
+    # position j within the epoch
     block_len = np.repeat(sizes, epochs)
     block_end = np.cumsum(block_len)
     block_start = block_end - block_len
     owner, epoch = np.divmod(np.repeat(np.arange(block_len.size), block_len), epochs)
     j = np.arange(block_end[-1]) - np.repeat(block_start, block_len)
-    # each block's arange is shuffled in place, one rng.permuted call per
-    # run of equal-length blocks: it shuffles the rows of the (blocks, len)
-    # view in order with shuffle's draws, which are rng.permutation(m_i)'s;
-    # test_permuted_runs_draw_what_the_per_block_shuffles_draw pins this
-    perms = j.copy()
-    lens = block_len.tolist()
-    cuts = [0, *(np.flatnonzero(block_len[1:] != block_len[:-1]) + 1).tolist(), len(lens)]
-    start = 0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        end = start + (b - a) * lens[a]
-        seg = perms[start:end].reshape(b - a, lens[a])
-        rng.permuted(seg, axis=1, out=seg)
-        start = end
+    cuts = np.flatnonzero(np.diff(block_len, prepend=-1, append=-1))
+    runs = [(int(block_start[a]), int(block_end[b - 1]), int(block_len[a]))
+            for a, b in zip(cuts[:-1], cuts[1:])]
     step = epoch * per_epoch[owner] + j // batch_size
     batch_at = np.concatenate(([0], np.cumsum(active)))
     cell = batch_at[step] + rank[owner]
-    flat = np.zeros(batch_at[-1] * width, dtype=np.intp)
-    flat[cell * width + j % batch_size] = perms + pool.offsets[nodes][owner]
     counts = np.bincount(cell, minlength=batch_at[-1])
-    spans = list(zip(batch_at[:-1].tolist(), batch_at[1:].tolist()))
-    rows = [flat[a * width : b * width].reshape(-1, width) for a, b in spans]
-    return nodes[rank_order], active.tolist(), rows, [counts[a:b] for a, b in spans]
+    bounds = list(zip(batch_at[:-1].tolist(), batch_at[1:].tolist()))
+    return BatchLayout(
+        sizes=pool.sizes, nodes=nodes, epochs=epochs, batch_size=batch_size,
+        ranked=nodes[rank_order], active=active.tolist(), width=width,
+        source=j + pool.offsets[nodes][owner], runs=runs, dest=cell * width + j % batch_size,
+        spans=[(a * width, b * width) for a, b in bounds],
+        counts=[counts[a:b] for a, b in bounds],
+    )
 
 
-def _lockstep_sgd(models: np.ndarray, pool: PooledShards, nodes: np.ndarray, eta: float,
-                  epochs: int, batch_size: int, rng) -> None:
-    """``epochs`` shuffled passes of mini-batch SGD over each listed
-    node's shard, all nodes in lockstep, updating ``models[nodes]`` in
-    place.  A node with no batch left at a step is not touched."""
-    ranked, active, rows, counts = _lockstep_batches(pool, nodes, epochs, batch_size, rng)
+def _lockstep_batches(layout: BatchLayout, rng) -> list:
+    """This round's batches: per lockstep step, an (active[s], width)
+    array of pooled row indices whose padding slots hold row 0.
+
+    Each block's rows are shuffled in place, one ``rng.permuted`` call per
+    run of equal-length blocks: it shuffles the rows of the (blocks, len)
+    view in order with shuffle's draws, which are ``rng.permutation(m_i)``'s
+    applied to the block; test_permuted_runs_draw_what_the_per_block_shuffles_draw
+    pins this."""
+    perms = layout.source.copy()
+    for start, end, length in layout.runs:
+        seg = perms[start:end].reshape(-1, length)
+        rng.permuted(seg, axis=1, out=seg)
+    flat = np.zeros(layout.spans[-1][1], dtype=np.intp)
+    flat[layout.dest] = perms
+    return [flat[a:b].reshape(-1, layout.width) for a, b in layout.spans]
+
+
+def _lockstep_sgd(models: np.ndarray, pool: PooledShards, layout: BatchLayout, eta: float,
+                  rng) -> None:
+    """``epochs`` shuffled passes of mini-batch SGD over each of the
+    layout's nodes' shards, all nodes in lockstep, updating their models
+    in place.  A node with no batch left at a step is not touched."""
+    ranked = layout.ranked
+    rows = _lockstep_batches(layout, rng)
     mats = models[ranked].reshape(ranked.size, pool.whole.outputs, -1)
-    for k, step_rows, step_counts in zip(active, rows, counts):
+    for k, step_rows, step_counts in zip(layout.active, rows, layout.counts):
         mats[:k] -= eta * local_gradient(pool, mats[:k], step_rows, step_counts)
     models[ranked] = mats.reshape(ranked.size, -1)
 
@@ -256,9 +302,12 @@ def advance_round(state: SimState, suite: ProblemSuite, cfg: SimConfig, streams:
 
     models_next = models_half.copy()
     training = np.flatnonzero(participating | cfg.offline_training)
+    layout = state.layout
     if training.size:
-        _lockstep_sgd(models_next, suite.pooled, training, eta, cfg.local_epochs,
-                      cfg.batch_size, streams["training"])
+        pool = suite.pooled
+        if layout is None or not layout.fits(pool, training, cfg.local_epochs, cfg.batch_size):
+            layout = _batch_layout(pool, training, cfg.local_epochs, cfg.batch_size)
+        _lockstep_sgd(models_next, pool, layout, eta, streams["training"])
 
     new_state = SimState(
         models=models_next,
@@ -266,6 +315,7 @@ def advance_round(state: SimState, suite: ProblemSuite, cfg: SimConfig, streams:
         access=access,
         round=t + 1,
         participating=participating,
+        layout=layout,
     )
     return RoundResult(
         state=new_state,

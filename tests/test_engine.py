@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -348,3 +349,61 @@ def test_permuted_runs_draw_what_the_per_block_shuffles_draw(kind, runs, batch, 
     sizes = [size for size, count in runs for _ in range(count)]
     test_lockstep_sgd_matches_the_per_node_loop.hypothesis.inner_test(
         kind, sizes, batch, epochs, offline, dropout_p, seed)
+
+
+def _step_against_the_loop(state, suite, cfg, streams):
+    """One round, checked against the per-node loop drawing from a copy of
+    the training stream; returns the round's result."""
+    ref_rng = np.random.default_rng()
+    ref_rng.bit_generator.state = streams["training"].bit_generator.state
+    result = advance_round(state, suite, cfg, streams)
+    training = result.participating | cfg.offline_training
+    want = local_sgd_loop(suite.problems, result.models_half, training, result.eta,
+                          cfg.local_epochs, cfg.batch_size, ref_rng)
+    assert np.max(np.abs(result.state.models - want)) <= 1e-12 * np.max(np.abs(want))
+    assert streams["training"].bit_generator.state == ref_rng.bit_generator.state
+    return result
+
+
+def test_the_batch_layout_follows_a_training_set_that_changes():
+    # online training under churn: the training set is each round's
+    # participating set, so the layout is rebuilt when that changes and
+    # reused while it stays
+    suite = _ragged_suite("softmax", [3, 7, 5, 7, 1, 4, 6, 2], d=3, classes=3,
+                          rng=np.random.default_rng(5))
+    cfg = SimConfig(n=8, rounds=30, seed=3, local_epochs=2, batch_size=3,
+                    offline_training=False, mobility=MobilityConfig(radius=1500.0),
+                    churn=ChurnConfig(dropout_p=0.05, rate=1.0))
+    streams = derive_streams(cfg.seed)
+    state = init_state(cfg, suite, streams)
+    reused = rebuilt = 0
+    for _ in range(cfg.rounds):
+        result = _step_against_the_loop(state, suite, cfg, streams)
+        layout = result.state.layout
+        if result.participating.any():
+            assert np.array_equal(layout.nodes, np.flatnonzero(result.participating))
+            reused += layout is state.layout
+            rebuilt += layout is not state.layout
+        state = result.state
+    assert reused > 1 and rebuilt > 1
+
+
+def test_two_suites_never_share_a_batch_layout():
+    # the same training ids over shards of other sizes: a state carried
+    # from one suite to the other must not lend it its layout, and
+    # neither may a state carried to other epochs or another batch size
+    cfg = SimConfig(n=4, rounds=1, seed=1, local_epochs=2, batch_size=2,
+                    mobility=MobilityConfig(radius=600.0))
+    rng = np.random.default_rng(9)
+    suites = [_ragged_suite("ridge", sizes, d=3, classes=1, rng=rng)
+              for sizes in ([2, 5, 3, 4], [4, 1, 6, 2])]
+    streams = derive_streams(cfg.seed)
+    state = init_state(cfg, suites[0], streams)
+    layouts = []
+    for suite, step_cfg in [(suites[0], cfg), (suites[1], cfg), (suites[0], cfg),
+                            (suites[1], cfg), (suites[1], replace(cfg, local_epochs=3)),
+                            (suites[1], replace(cfg, local_epochs=3, batch_size=3))]:
+        state = _step_against_the_loop(state, suite, step_cfg, streams).state
+        assert np.array_equal(state.layout.sizes, suite.pooled.sizes)
+        layouts.append(state.layout)
+    assert len({id(layout) for layout in layouts}) == len(layouts)
