@@ -193,6 +193,8 @@ def _neighbour_list(state: MobilityState, radius: float) -> NeighbourList:
         if np.einsum("ij,ij->i", moved, moved).max(initial=0.0) <= 0.25 * skin * skin:
             return near
     n = state.n
+    # the pairs are sorted below, so the tree's order does not matter and
+    # its faster unbalanced build will do
     tree = cKDTree(positions, balanced_tree=False, compact_nodes=False)
     pairs = tree.query_pairs((radius + skin) * (1.0 + 1e-9), output_type="ndarray")
     keys = pairs[:, 0] * n + pairs[:, 1]

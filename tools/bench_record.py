@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -31,11 +32,14 @@ def _git(checkout: Path, *args: str) -> str:
 
 
 def run_workload(checkout: Path, name: str, seconds: float) -> dict:
-    """One untraced ``bench/run.py`` run: its env record and final line."""
+    """One untraced ``bench/run.py`` run: its env record and final line.
+    No process writes bytecode, so ``peak_rss_mb`` does not depend on
+    whether the checkout already holds a ``__pycache__``."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", name, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     if proc.returncode != 0:
         raise RuntimeError(f"{name}: bench/run.py exited {proc.returncode}:\n{proc.stderr[-2000:]}")
