@@ -291,6 +291,22 @@ def _ragged_suite(kind, sizes, d, classes, rng) -> ProblemSuite:
                         gamma=math.nan, grad_bound_sq=math.nan)
 
 
+def _step_against_the_loop(state, suite, cfg, streams):
+    """One round, checked against the per-node loop drawing from a copy of
+    the training stream; returns the round's result."""
+    ref_rng = np.random.default_rng()
+    ref_rng.bit_generator.state = streams["training"].bit_generator.state
+    result = advance_round(state, suite, cfg, streams)
+    training = result.participating | cfg.offline_training
+    want = local_sgd_loop(suite.problems, result.models_half, training, result.eta,
+                          cfg.local_epochs, cfg.batch_size, ref_rng)
+    got = result.state.models
+    assert np.array_equal(got[~training], result.models_half[~training])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert streams["training"].bit_generator.state == ref_rng.bit_generator.state
+    return result
+
+
 @settings(max_examples=60)
 @given(
     kind=st.sampled_from(["ridge", "softmax"]),
@@ -314,17 +330,7 @@ def test_lockstep_sgd_matches_the_per_node_loop(kind, sizes, batch, epochs, offl
     streams = derive_streams(cfg.seed)
     state = init_state(cfg, suite, streams)
     for _ in range(cfg.rounds):
-        ref_rng = np.random.default_rng()
-        ref_rng.bit_generator.state = streams["training"].bit_generator.state
-        result = advance_round(state, suite, cfg, streams)
-        training = result.participating | offline
-        want = local_sgd_loop(suite.problems, result.models_half, training, result.eta,
-                              epochs, batch_size, ref_rng)
-        got = result.state.models
-        assert np.array_equal(got[~training], result.models_half[~training])
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        assert streams["training"].bit_generator.state == ref_rng.bit_generator.state
-        state = result.state
+        state = _step_against_the_loop(state, suite, cfg, streams).state
 
 
 @settings(max_examples=25)
@@ -349,20 +355,6 @@ def test_permuted_runs_draw_what_the_per_block_shuffles_draw(kind, runs, batch, 
     sizes = [size for size, count in runs for _ in range(count)]
     test_lockstep_sgd_matches_the_per_node_loop.hypothesis.inner_test(
         kind, sizes, batch, epochs, offline, dropout_p, seed)
-
-
-def _step_against_the_loop(state, suite, cfg, streams):
-    """One round, checked against the per-node loop drawing from a copy of
-    the training stream; returns the round's result."""
-    ref_rng = np.random.default_rng()
-    ref_rng.bit_generator.state = streams["training"].bit_generator.state
-    result = advance_round(state, suite, cfg, streams)
-    training = result.participating | cfg.offline_training
-    want = local_sgd_loop(suite.problems, result.models_half, training, result.eta,
-                          cfg.local_epochs, cfg.batch_size, ref_rng)
-    assert np.max(np.abs(result.state.models - want)) <= 1e-12 * np.max(np.abs(want))
-    assert streams["training"].bit_generator.state == ref_rng.bit_generator.state
-    return result
 
 
 def test_the_batch_layout_follows_a_training_set_that_changes():
