@@ -10,7 +10,8 @@ holds, per workload, the run's final JSON line and its ``env`` record,
 plus the commit and the git tree of the checkout's ``src``, which names
 the measured code even after a history rewrite.
 The checkout must have no uncommitted change under ``src/`` or
-``bench/``, so that the commit in the name is the code that ran.
+``bench/``, so that the commit in the name is the code that ran, and no
+``__pycache__`` there, so that every run compiles the same sources.
 """
 
 from __future__ import annotations
@@ -31,12 +32,19 @@ def _git(checkout: Path, *args: str) -> str:
                           check=True).stdout.strip()
 
 
-def run_workload(checkout: Path, name: str, seconds: float) -> dict:
+def cached_bytecode(checkout: Path) -> list:
+    """The checkout's ``__pycache__`` directories under ``src`` and
+    ``bench``: a run would load them, and read less ``peak_rss_mb`` than a
+    run that compiles the package."""
+    return sorted(str(p) for top in ("src", "bench") for p in (checkout / top).rglob("__pycache__"))
+
+
+def run_workload(checkout: Path, name: str, seconds: float, seed: int = SEED) -> dict:
     """One untraced ``bench/run.py`` run: its env record and final line.
-    No process writes bytecode, so ``peak_rss_mb`` does not depend on
-    whether the checkout already holds a ``__pycache__``."""
+    No process writes bytecode, so with no :func:`cached_bytecode` in the
+    checkout every run compiles the package."""
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", name, "--seed", str(SEED),
+        [sys.executable, "bench/run.py", "--workload", name, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
@@ -60,6 +68,9 @@ def main(argv=None) -> int:
     checkout = args.checkout.resolve()
     if _git(checkout, "status", "--porcelain", "--", "src", "bench"):
         print(f"{checkout}: uncommitted changes under src/ or bench/", file=sys.stderr)
+        return 2
+    if cached_bytecode(checkout):
+        print(f"{checkout}: remove the bytecode caches {cached_bytecode(checkout)}", file=sys.stderr)
         return 2
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
