@@ -169,10 +169,10 @@ def init_state(cfg: SimConfig, suite: ProblemSuite, streams: dict) -> SimState:
 local_gradient = lockstep_gradient
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchLayout:
     """Where every training node's shuffled samples land in the lockstep
-    steps: all of :func:`_lockstep_batches` but the draws.
+    steps: all of :func:`_lockstep_sgd` but the draws and the arithmetic.
 
     It is a pure function of the key ``(sizes, nodes, epochs,
     batch_size)``, the pool's shard sizes and the training ids, so a
@@ -184,12 +184,16 @@ class BatchLayout:
     step s are ranks ``0 .. active[s] - 1``.
 
     ``source`` is every drawn sample's pooled row before the shuffle,
-    block by block (one block per node and epoch, node-major); ``runs``
-    are the ``(start, end, length)`` spans of its runs of equal-length
-    blocks; ``dest`` is each drawn sample's slot in the flat array of all
-    steps' batches, ``width`` columns a batch.  Step s's batches are the
-    rows of ``flat[spans[s][0] : spans[s][1]]``, and ``counts[s]`` their
-    true sizes.
+    block by block (one block per node and epoch, node-major); ``perms``
+    is a scratch buffer of its shape, and ``blocks`` holds one
+    (blocks, length) view of ``perms`` per run of equal-length blocks.
+    ``dest`` is each drawn sample's slot in ``flat``, the scratch array of
+    all steps' batches, ``width`` columns a batch, whose padding slots
+    hold row 0.  Step s's batches are the rows of ``batches[s]``, a view
+    of ``flat``; ``counts[s]`` are their true sizes and ``masks[s]`` their
+    real slots as a (k, width, 1) bool array, or None when every batch of
+    the step is full.  The scratch arrays are overwritten each round, so
+    one layout serves any number of states, one round at a time.
     """
 
     sizes: np.ndarray
@@ -200,10 +204,13 @@ class BatchLayout:
     active: list
     width: int
     source: np.ndarray
-    runs: list
+    perms: np.ndarray
+    blocks: list
     dest: np.ndarray
-    spans: list
+    flat: np.ndarray
+    batches: list
     counts: list
+    masks: list
 
     def fits(self, pool: PooledShards, nodes: np.ndarray, epochs: int, batch_size: int) -> bool:
         return (self.epochs == epochs and self.batch_size == batch_size
@@ -227,39 +234,46 @@ def _batch_layout(pool: PooledShards, nodes: np.ndarray, epochs: int, batch_size
     block_start = block_end - block_len
     owner, epoch = np.divmod(np.repeat(np.arange(block_len.size), block_len), epochs)
     j = np.arange(block_end[-1]) - np.repeat(block_start, block_len)
+    source = j + pool.offsets[nodes][owner]
+    perms = np.empty_like(source)
     cuts = np.flatnonzero(np.diff(block_len, prepend=-1, append=-1))
-    runs = [(int(block_start[a]), int(block_end[b - 1]), int(block_len[a]))
-            for a, b in zip(cuts[:-1], cuts[1:])]
+    blocks = [perms[block_start[a]:block_end[b - 1]].reshape(-1, int(block_len[a]))
+              for a, b in zip(cuts[:-1], cuts[1:])]
     step = epoch * per_epoch[owner] + j // batch_size
     batch_at = np.concatenate(([0], np.cumsum(active)))
     cell = batch_at[step] + rank[owner]
     counts = np.bincount(cell, minlength=batch_at[-1])
+    flat = np.zeros(batch_at[-1] * width, dtype=np.intp)
     bounds = list(zip(batch_at[:-1].tolist(), batch_at[1:].tolist()))
+    slots = np.arange(width)
+    masks = []
+    for a, b in bounds:
+        real = slots < counts[a:b, None]
+        masks.append(None if real.all() else real[:, :, None])
     return BatchLayout(
         sizes=pool.sizes, nodes=nodes, epochs=epochs, batch_size=batch_size,
         ranked=nodes[rank_order], active=active.tolist(), width=width,
-        source=j + pool.offsets[nodes][owner], runs=runs, dest=cell * width + j % batch_size,
-        spans=[(a * width, b * width) for a, b in bounds],
-        counts=[counts[a:b] for a, b in bounds],
+        source=source, perms=perms, blocks=blocks, dest=cell * width + j % batch_size,
+        flat=flat, batches=[flat[a * width:b * width].reshape(-1, width) for a, b in bounds],
+        counts=[counts[a:b] for a, b in bounds], masks=masks,
     )
 
 
 def _lockstep_batches(layout: BatchLayout, rng) -> list:
     """This round's batches: per lockstep step, an (active[s], width)
-    array of pooled row indices whose padding slots hold row 0.
+    array of pooled row indices whose padding slots hold row 0.  They
+    are views of the layout's scratch, valid until its next round.
 
     Each block's rows are shuffled in place, one ``rng.permuted`` call per
     run of equal-length blocks: it shuffles the rows of the (blocks, len)
     view in order with shuffle's draws, which are ``rng.permutation(m_i)``'s
     applied to the block; test_permuted_runs_draw_what_the_per_block_shuffles_draw
     pins this."""
-    perms = layout.source.copy()
-    for start, end, length in layout.runs:
-        seg = perms[start:end].reshape(-1, length)
+    np.copyto(layout.perms, layout.source)
+    for seg in layout.blocks:
         rng.permuted(seg, axis=1, out=seg)
-    flat = np.zeros(layout.spans[-1][1], dtype=np.intp)
-    flat[layout.dest] = perms
-    return [flat[a:b].reshape(-1, layout.width) for a, b in layout.spans]
+    layout.flat[layout.dest] = layout.perms
+    return layout.batches
 
 
 def _lockstep_sgd(models: np.ndarray, pool: PooledShards, layout: BatchLayout, eta: float,
@@ -269,9 +283,9 @@ def _lockstep_sgd(models: np.ndarray, pool: PooledShards, layout: BatchLayout, e
     in place.  A node with no batch left at a step is not touched."""
     ranked = layout.ranked
     rows = _lockstep_batches(layout, rng)
-    mats = models[ranked].reshape(ranked.size, pool.whole.outputs, -1)
-    for k, step_rows, step_counts in zip(layout.active, rows, layout.counts):
-        mats[:k] -= eta * local_gradient(pool, mats[:k], step_rows, step_counts)
+    mats = models.take(ranked, axis=0).reshape(ranked.size, pool.whole.outputs, -1)
+    for k, step_rows, step_counts, real in zip(layout.active, rows, layout.counts, layout.masks):
+        mats[:k] -= eta * local_gradient(pool, mats[:k], step_rows, step_counts, real)
     models[ranked] = mats.reshape(ranked.size, -1)
 
 

@@ -176,7 +176,12 @@ def _sample_dloss(kind: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     target for softmax."""
     if kind == "ridge":
         return z - y[:, None]
-    e = np.exp(z - z.max(axis=1, keepdims=True))
+    # the row max class by class: a reduction along the short class axis
+    # costs more than one elementwise pass per class, and max is exact
+    top = z[:, 0].copy()
+    for c in range(1, z.shape[1]):
+        np.maximum(top, z[:, c], out=top)
+    e = np.exp(z - top[:, None])
     dz = e / e.sum(axis=1, keepdims=True)
     dz[np.arange(y.size), y] -= 1.0
     return dz
@@ -404,20 +409,24 @@ def _node_gradient_change(problems, points, base) -> np.ndarray:
 
 
 def lockstep_gradient(pool: PooledShards, mats: np.ndarray, rows: np.ndarray,
-                      counts: np.ndarray) -> np.ndarray:
+                      counts: np.ndarray, real) -> np.ndarray:
     """Mini-batch gradients of k models at once, as a (k, outputs, d) stack.
 
     Model r is the (outputs, d) matrix ``mats[r]`` and its batch is the
     pooled rows ``rows[r, :counts[r]]``; the rest of ``rows[r]`` is
-    padding, masked out of the sum.  Row r equals
-    ``local_gradient(node, mats[r].ravel(), batch)`` up to rounding.
+    padding, masked out of the sum by ``real``, the (k, width, 1) bool
+    array ``slot < counts[r]``, which is None when no batch has padding.
+    Row r equals ``local_gradient(node, mats[r].ravel(), batch)`` up to
+    rounding.
     """
     p = pool.whole
-    x = p.features[rows]
+    # take: about half the time of fancy indexing at local SGD's shapes
+    x = p.features.take(rows, axis=0)
     z = np.matmul(x, mats.transpose(0, 2, 1))
-    dz = _sample_dloss(p.kind, z.reshape(-1, p.outputs), p.targets[rows].ravel())
-    real = np.arange(rows.shape[1]) < counts[:, None]
-    dz = dz.reshape(z.shape) * real[:, :, None]
+    dz = _sample_dloss(p.kind, z.reshape(-1, p.outputs), p.targets.take(rows).ravel())
+    dz = dz.reshape(z.shape)
+    if real is not None:
+        np.multiply(dz, real, out=dz)
     return np.matmul(dz.transpose(0, 2, 1), x) / counts[:, None, None] + p.reg * mats
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -293,10 +294,16 @@ def _ragged_suite(kind, sizes, d, classes, rng) -> ProblemSuite:
 
 def _step_against_the_loop(state, suite, cfg, streams):
     """One round, checked against the per-node loop drawing from a copy of
-    the training stream; returns the round's result."""
+    the training stream, and bit for bit against the same round from a
+    fresh batch layout, run on copies of the streams; returns the round's
+    result."""
     ref_rng = np.random.default_rng()
     ref_rng.bit_generator.state = streams["training"].bit_generator.state
+    fresh_streams = deepcopy(streams)
     result = advance_round(state, suite, cfg, streams)
+    fresh = advance_round(replace(state, layout=None), suite, cfg, fresh_streams)
+    assert np.array_equal(result.state.models, fresh.state.models)
+    assert streams["training"].bit_generator.state == fresh_streams["training"].bit_generator.state
     training = result.participating | cfg.offline_training
     want = local_sgd_loop(suite.problems, result.models_half, training, result.eta,
                           cfg.local_epochs, cfg.batch_size, ref_rng)
@@ -399,3 +406,24 @@ def test_two_suites_never_share_a_batch_layout():
         assert np.array_equal(state.layout.sizes, suite.pooled.sizes)
         layouts.append(state.layout)
     assert len({id(layout) for layout in layouts}) == len(layouts)
+
+
+def test_one_batch_layout_serves_two_states_in_turn():
+    # two runs share one layout and take rounds in turn, so each round
+    # finds the layout's scratch as the other run left it; each round
+    # must still give a fresh layout's models and training stream
+    suite = _ragged_suite("softmax", [3, 7, 5, 7, 1, 4], d=3, classes=3,
+                          rng=np.random.default_rng(2))
+    cfg = SimConfig(n=6, rounds=6, seed=4, local_epochs=2, batch_size=3,
+                    mobility=MobilityConfig(radius=600.0),
+                    churn=ChurnConfig(dropout_p=0.3, rate=1.0))
+    states, streams = [], []
+    for seed in (4, 5):
+        streams.append(derive_streams(seed))
+        states.append(init_state(cfg, suite, streams[-1]))
+    states[0] = _step_against_the_loop(states[0], suite, cfg, streams[0]).state
+    states[1] = replace(states[1], layout=states[0].layout)
+    for _ in range(cfg.rounds):
+        for i in (0, 1):
+            states[i] = _step_against_the_loop(states[i], suite, cfg, streams[i]).state
+    assert states[0].layout is states[1].layout

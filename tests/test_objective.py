@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gossipsim import objective
 from gossipsim.dataparts import PartitionConfig, partition, synthetic_blobs
 from gossipsim.objective import (
     NodeProblem,
@@ -79,6 +80,66 @@ def test_gradient_hand_value_zero():
 def test_empty_batch_rejected():
     with pytest.raises(ValueError):
         local_gradient(_ridge([[1.0]], [2.0]), np.array([1.0]), batch=[])
+
+
+def _softmax_dloss_by_reductions(z, y, row_sum=lambda e: e.sum(axis=1)):
+    """The softmax branch of ``_sample_dloss`` with the row max taken by
+    ``z.max(axis=1)`` and the row sum by ``row_sum``."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    dz = e / row_sum(e)[:, None]
+    dz[np.arange(y.size), y] -= 1.0
+    return dz
+
+
+def _same_bits(a, b) -> bool:
+    """Equal bit for bit, except that a NaN may differ from a NaN in sign
+    and payload: ``z.max(axis=1)`` does not pin which NaN a row with a NaN
+    reduces to, and a trace prints every NaN as ``nan``."""
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+SPECIAL_LOGITS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, 1e308, -1e308])
+
+
+@settings(max_examples=200, deadline=None)
+@given(classes=st.integers(2, 64), rows=st.integers(1, 300),
+       fill=st.sampled_from(["normal", "ties", "special"]), seed=st.integers(0, 2**32 - 1))
+def test_softmax_dloss_takes_the_row_max_class_by_class_exactly(classes, rows, fill, seed):
+    # _sample_dloss takes the row max with one np.maximum per class; max
+    # is exact, so it must reproduce the z.max(axis=1) form bit for bit,
+    # ties, signed zeros and infinities included
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(rows, classes)) * 10.0 ** rng.integers(-3, 4)
+    if fill == "ties":
+        z = rng.integers(-2, 3, size=(rows, classes)).astype(float)
+    elif fill == "special":
+        mask = rng.random((rows, classes)) < 0.3
+        z[mask] = rng.choice(SPECIAL_LOGITS, size=int(mask.sum()))
+    y = rng.integers(0, classes, size=rows)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = _softmax_dloss_by_reductions(z, y)
+        got = objective._sample_dloss("softmax", z, y)
+    assert _same_bits(got, want)
+
+
+def test_softmax_dloss_keeps_the_pairwise_class_sum():
+    # numpy sums a row of 8 or more classes pairwise, in unrolled blocks,
+    # so a class-by-class running sum differs in the last bit: the sum
+    # cannot be taken the way the max is
+    def running(e):
+        total = e[:, 0].copy()
+        for c in range(1, e.shape[1]):
+            total += e[:, c]
+        return total
+
+    rng = np.random.default_rng(0)
+    z = rng.normal(size=(300, 8))
+    y = rng.integers(0, 8, size=300)
+    got = objective._sample_dloss("softmax", z, y)
+    assert np.array_equal(got, _softmax_dloss_by_reductions(z, y))
+    assert not np.array_equal(got, _softmax_dloss_by_reductions(z, y, running))
 
 
 @pytest.mark.parametrize("kind", ["ridge", "softmax"])

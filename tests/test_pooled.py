@@ -298,11 +298,18 @@ def test_lockstep_gradient_matches_local_gradient_per_node(case, data):
         batches.append(rng.choice(p.m, size=counts[r], replace=False))
         rows[r, :counts[r]] = pool.offsets[r] + batches[r]
     mats = rng.normal(size=(len(problems), p.outputs, p.features.shape[1]))
-    got = lockstep_gradient(pool, mats, rows, counts)
+    real = np.arange(rows.shape[1]) < counts[:, None]
+    got = lockstep_gradient(pool, mats, rows, counts, real[:, :, None])
     assert got.shape == mats.shape
     for r, p in enumerate(problems):
         want = local_gradient(p, mats[r].ravel(), batches[r])
         assert np.allclose(got[r].ravel(), want, rtol=REL, atol=REL * np.abs(want).max())
+    # a step whose batches are all full passes no mask, and gets the bits
+    # an all-true mask gives
+    width = int(counts.min())
+    full, sizes = rows[:, :width], np.full(len(problems), width)
+    assert np.array_equal(lockstep_gradient(pool, mats, full, sizes, None),
+                          lockstep_gradient(pool, mats, full, sizes, real[:, :width, None]))
 
 
 def test_pooling_rejects_mixed_problems_and_wrong_model_shapes():
