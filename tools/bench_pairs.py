@@ -1,15 +1,15 @@
 """Compare a parent and a change checkout with alternating benchmark pairs.
 
     python tools/bench_pairs.py --parent DIR [--change DIR] --workload NAME
-        [--pairs N] [--seed S] [--seconds S]
+        [--pairs N] [--seed S]
 
 Runs ``bench/run.py --trace 0`` of both checkouts N times (default 10)
 on one workload, alternating which side runs first in each pair, the way
 ``tools/bench_record.py`` runs one side: no process writes bytecode, and
 neither checkout may hold a ``__pycache__`` under ``src`` or ``bench``.
-``--change`` defaults to this repository and ``--seconds`` to the
-change's ``BENCHMARK.json`` ``run_seconds``.  Each pair is printed as one
-JSON line as it ends.  Then, per end-to-end metric of the change's
+``--change`` defaults to this repository; every run lasts the change's
+``BENCHMARK.json`` ``run_seconds``.  Each pair is printed as one JSON
+line as it ends.  Then, per end-to-end metric of the change's
 ``BENCHMARK.json``, one line gives the pairs the change won, both
 medians, the parent's quartiles (``statistics.quantiles``' default
 method) and whether the claim rule holds: the change better in at least
@@ -49,7 +49,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -59,7 +58,7 @@ def main(argv=None) -> int:
         if cached_bytecode(checkout):
             parser.error(f"remove the bytecode caches {cached_bytecode(checkout)}")
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     values = {side: [] for side in sides}
     failed = {side: 0 for side in sides}
     for pair in range(args.pairs):

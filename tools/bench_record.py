@@ -39,7 +39,7 @@ def cached_bytecode(checkout: Path) -> list:
     return sorted(str(p) for top in ("src", "bench") for p in (checkout / top).rglob("__pycache__"))
 
 
-def run_workload(checkout: Path, name: str, seconds: float, seed: int = SEED) -> dict:
+def run_workload(checkout: Path, name: str, seconds: float, seed: int) -> dict:
     """One untraced ``bench/run.py`` run: its env record and final line.
     No process writes bytecode, so with no :func:`cached_bytecode` in the
     checkout every run compiles the package."""
@@ -84,7 +84,7 @@ def main(argv=None) -> int:
     }
     for workload in spec["workloads"]:
         name = workload["name"]
-        record["workloads"][name] = run_workload(checkout, name, seconds)
+        record["workloads"][name] = run_workload(checkout, name, seconds, SEED)
         print(f"{name}: done", file=sys.stderr)
     out = ROOT / f"BENCH_{sha}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
