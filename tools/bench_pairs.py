@@ -55,8 +55,8 @@ def main(argv=None) -> int:
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for checkout in sides.values():
-        if cached_bytecode(checkout):
-            parser.error(f"remove the bytecode caches {cached_bytecode(checkout)}")
+        if caches := cached_bytecode(checkout):
+            parser.error(f"remove the bytecode caches {caches}")
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     values = {side: [] for side in sides}

@@ -69,8 +69,8 @@ def main(argv=None) -> int:
     if _git(checkout, "status", "--porcelain", "--", "src", "bench"):
         print(f"{checkout}: uncommitted changes under src/ or bench/", file=sys.stderr)
         return 2
-    if cached_bytecode(checkout):
-        print(f"{checkout}: remove the bytecode caches {cached_bytecode(checkout)}", file=sys.stderr)
+    if caches := cached_bytecode(checkout):
+        print(f"{checkout}: remove the bytecode caches {caches}", file=sys.stderr)
         return 2
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
