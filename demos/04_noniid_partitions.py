@@ -18,12 +18,7 @@ for alpha in (0.5, 1.0, 10.0, math.inf):
     for seed in range(10):
         rng = np.random.default_rng(seed)
         data = synthetic_blobs(classes=5, d=10, total=280, separation=6.0, rng=rng)
-        cfg = (
-            PartitionConfig(alpha=math.inf, per_node=20)
-            if math.isinf(alpha)
-            else PartitionConfig(alpha=alpha)
-        )
-        shards = partition(data, 14, cfg, rng)
+        shards = partition(data, 14, PartitionConfig(alpha=alpha), rng)
         suite = build_suite(data.features, data.targets.astype(float), shards,
                             kind="ridge", reg=0.1, target_curvature=0.9)
         gaps.append(suite.gamma)

@@ -6,8 +6,8 @@ Subcommands:
   check  --out DIR
 
 Exit codes are a stable contract: 0 success, 1 runtime or invariant
-failure, 2 usage or config error.  The GOSSIPSIM_JOBS environment
-variable overrides --jobs.  Everything runs offline.
+failure, 2 usage or config error.  No environment variable changes a
+run.  Everything runs offline.
 """
 
 from __future__ import annotations
@@ -106,13 +106,12 @@ def _run_one(config: RunConfig, out_dir: Path) -> dict:
 
 
 def _check_samples(config: RunConfig) -> None:
-    """Raise ConfigError unless ``suite.total`` gives every node a shard:
-    one sample each, or ``per_node`` each under the i.i.d. split (alpha =
-    inf).  Not part of parsing: a config that never builds a suite may have fewer."""
-    part, n, total = config.partition, config.sim.n, config.suite.total
-    need = n * part.per_node if part.per_node else n
-    if total < need:
-        raise ConfigError(f"suite.total {total} is too small: {n} nodes need at least {need} samples")
+    """Raise ConfigError unless ``suite.total`` gives every node at least
+    one sample.  Not part of parsing: a config that never builds a suite
+    may have fewer."""
+    n, total = config.sim.n, config.suite.total
+    if total < n:
+        raise ConfigError(f"suite.total {total} is too small: {n} nodes need at least {n} samples")
 
 
 def cmd_run(config_path: str, out_dir: str, seed=None) -> int:
@@ -166,7 +165,7 @@ def pool_size(jobs: int, tasks: int, cpus) -> int:
     return max(1, min(jobs, tasks, cpus or 1))
 
 
-def cmd_sweep(config_path, axis, values, seeds, out_dir, jobs=None) -> int:
+def cmd_sweep(config_path, axis, values, seeds, out_dir, jobs=1) -> int:
     try:
         if axis not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {axis!r}; choose from {tuple(SWEEP_AXES)}")
@@ -174,7 +173,7 @@ def cmd_sweep(config_path, axis, values, seeds, out_dir, jobs=None) -> int:
             raise ConfigError("sweep needs a nonempty values list")
         if not seeds:
             raise ConfigError("sweep needs a nonempty seeds list")
-        labels = ["inf" if math.isinf(v) else format(v, ".6g") for v in values]
+        labels = [format(v, ".6g") for v in values]
         if len(set(labels)) < len(labels) or len(set(seeds)) < len(seeds):
             raise ConfigError("sweep values (to 6 significant digits) and seeds must be "
                               f"distinct, got values {labels} and seeds {seeds}")
@@ -187,18 +186,8 @@ def cmd_sweep(config_path, axis, values, seeds, out_dir, jobs=None) -> int:
                 _check_samples(config)
                 run_dir = out / "runs" / f"{axis}={label}" / f"seed={seed}"
                 tasks.append((config, label, str(run_dir)))
-        source = "--jobs"
-        env_jobs = os.environ.get("GOSSIPSIM_JOBS")
-        if env_jobs is not None:
-            source = "GOSSIPSIM_JOBS"
-            try:
-                jobs = int(env_jobs)
-            except ValueError:
-                raise ConfigError(f"GOSSIPSIM_JOBS must be an integer, got {env_jobs!r}") from None
-        if jobs is None:
-            jobs = 1
         if jobs < 1:
-            raise ConfigError(f"{source} must be at least 1, got {jobs}")
+            raise ConfigError(f"--jobs must be at least 1, got {jobs}")
         workers = pool_size(jobs, len(tasks), os.cpu_count())
     except ValueError as exc:  # ConfigError, or a seed out of range
         print(f"config error: {exc}", file=sys.stderr)
@@ -406,7 +395,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--seeds", required=True, help="comma-separated integer seeds")
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--jobs", type=int, default=None)
+    p_sweep.add_argument("--jobs", type=int, default=1)
 
     p_check = sub.add_parser("check", help="verify invariants of completed outputs")
     p_check.add_argument("--out", required=True)

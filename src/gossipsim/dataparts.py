@@ -39,20 +39,13 @@ class Dataset:
 @dataclass(frozen=True)
 class PartitionConfig:
     """``alpha`` is the Dirichlet concentration; an infinite alpha is the
-    i.i.d. split.  ``per_node`` is the i.i.d. shard size (0 means split
-    everything); a nonzero ``per_node`` with a finite alpha is an error."""
+    i.i.d. split, which deals every node ``total // n`` samples."""
 
     alpha: float = 10.0
-    per_node: int = 0
 
     def __post_init__(self) -> None:
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        if self.per_node < 0:
-            raise ValueError("per_node must be nonnegative")
-        if self.per_node and not math.isinf(self.alpha):
-            raise ValueError("partition.per_node is the i.i.d. split's shard size, so it must "
-                             f"be 0 unless alpha is inf (got {self.per_node})")
 
 
 def _largest_remainder(targets: np.ndarray, total: int) -> np.ndarray:
@@ -122,11 +115,9 @@ def partition(dataset: Dataset, n: int, cfg: PartitionConfig, rng: np.random.Gen
         raise ValueError("need at least one node")
     labels = np.asarray(dataset.targets, dtype=int)
     if math.isinf(cfg.alpha):
-        per_node = cfg.per_node if cfg.per_node else dataset.total // n
+        per_node = dataset.total // n
         if per_node < 1:
-            raise ValueError("per_node must be at least 1")
-        if per_node * n > dataset.total:
-            raise ValueError("not enough samples for the requested shards")
+            raise ValueError(f"{n} nodes need at least {n} samples, got {dataset.total}")
         return _stratified(labels, n, per_node, rng)
     return _dirichlet(labels, n, cfg.alpha, rng)
 

@@ -180,20 +180,21 @@ class BatchLayout:
     the same.  Node i draws a permutation of its m_i samples once per
     epoch, nodes in the order given, and its epoch e, position j sample
     lands in step ``e * ceil(m_i / B) + j // B`` at slot ``j % B``.  Nodes
-    are ranked by step count, most first, so the nodes with a batch at
-    step s are ranks ``0 .. active[s] - 1``.
+    are ranked by step count, most first, so the k nodes with a batch at
+    a step are ranks ``0 .. k - 1``.
 
     ``source`` is every drawn sample's pooled row before the shuffle,
     block by block (one block per node and epoch, node-major); ``perms``
     is a scratch buffer of its shape, and ``blocks`` holds one
     (blocks, length) view of ``perms`` per run of equal-length blocks.
     ``dest`` is each drawn sample's slot in ``flat``, the scratch array of
-    all steps' batches, ``width`` columns a batch, whose padding slots
-    hold row 0.  Step s's batches are the rows of ``batches[s]``, a view
-    of ``flat``; ``counts[s]`` are their true sizes and ``masks[s]`` their
-    real slots as a (k, width, 1) bool array, or None when every batch of
-    the step is full.  The scratch arrays are overwritten each round, so
-    one layout serves any number of states, one round at a time.
+    all steps' batches, whose padding slots hold row 0.  ``steps`` holds
+    one ``(k, rows, counts, real)`` per lockstep step: its k batches are
+    the rows of ``rows``, a (k, width) view of ``flat``; ``counts`` are
+    their true sizes and ``real`` their real slots as a (k, width, 1)
+    bool array, or None when every batch of the step is full.  The
+    scratch arrays are overwritten each round, so one layout serves any
+    number of states, one round at a time.
     """
 
     sizes: np.ndarray
@@ -201,16 +202,12 @@ class BatchLayout:
     epochs: int
     batch_size: int
     ranked: np.ndarray
-    active: list
-    width: int
     source: np.ndarray
     perms: np.ndarray
     blocks: list
     dest: np.ndarray
     flat: np.ndarray
-    batches: list
-    counts: list
-    masks: list
+    steps: list
 
     def fits(self, pool: PooledShards, nodes: np.ndarray, epochs: int, batch_size: int) -> bool:
         return (self.epochs == epochs and self.batch_size == batch_size
@@ -222,11 +219,11 @@ def _batch_layout(pool: PooledShards, nodes: np.ndarray, epochs: int, batch_size
     sizes = pool.sizes[nodes]
     width = min(batch_size, int(sizes.max()))
     per_epoch = -(-sizes // batch_size)
-    steps = epochs * per_epoch
-    rank_order = np.argsort(-steps, kind="stable")
+    node_steps = epochs * per_epoch
+    rank_order = np.argsort(-node_steps, kind="stable")
     rank = np.empty_like(rank_order)
     rank[rank_order] = np.arange(nodes.size)
-    active = nodes.size - np.cumsum(np.bincount(steps))[:-1]
+    active = nodes.size - np.cumsum(np.bincount(node_steps))[:-1]
     # sample by sample, in draw order: its block's node, epoch and
     # position j within the epoch
     block_len = np.repeat(sizes, epochs)
@@ -244,36 +241,17 @@ def _batch_layout(pool: PooledShards, nodes: np.ndarray, epochs: int, batch_size
     cell = batch_at[step] + rank[owner]
     counts = np.bincount(cell, minlength=batch_at[-1])
     flat = np.zeros(batch_at[-1] * width, dtype=np.intp)
-    bounds = list(zip(batch_at[:-1].tolist(), batch_at[1:].tolist()))
     slots = np.arange(width)
-    masks = []
-    for a, b in bounds:
+    steps = []
+    for a, b in zip(batch_at[:-1].tolist(), batch_at[1:].tolist()):
         real = slots < counts[a:b, None]
-        masks.append(None if real.all() else real[:, :, None])
+        steps.append((b - a, flat[a * width:b * width].reshape(-1, width), counts[a:b],
+                      None if real.all() else real[:, :, None]))
     return BatchLayout(
         sizes=pool.sizes, nodes=nodes, epochs=epochs, batch_size=batch_size,
-        ranked=nodes[rank_order], active=active.tolist(), width=width,
-        source=source, perms=perms, blocks=blocks, dest=cell * width + j % batch_size,
-        flat=flat, batches=[flat[a * width:b * width].reshape(-1, width) for a, b in bounds],
-        counts=[counts[a:b] for a, b in bounds], masks=masks,
+        ranked=nodes[rank_order], source=source, perms=perms, blocks=blocks,
+        dest=cell * width + j % batch_size, flat=flat, steps=steps,
     )
-
-
-def _lockstep_batches(layout: BatchLayout, rng) -> list:
-    """This round's batches: per lockstep step, an (active[s], width)
-    array of pooled row indices whose padding slots hold row 0.  They
-    are views of the layout's scratch, valid until its next round.
-
-    Each block's rows are shuffled in place, one ``rng.permuted`` call per
-    run of equal-length blocks: it shuffles the rows of the (blocks, len)
-    view in order with shuffle's draws, which are ``rng.permutation(m_i)``'s
-    applied to the block; test_permuted_runs_draw_what_the_per_block_shuffles_draw
-    pins this."""
-    np.copyto(layout.perms, layout.source)
-    for seg in layout.blocks:
-        rng.permuted(seg, axis=1, out=seg)
-    layout.flat[layout.dest] = layout.perms
-    return layout.batches
 
 
 def _lockstep_sgd(models: np.ndarray, pool: PooledShards, layout: BatchLayout, eta: float,
@@ -281,11 +259,19 @@ def _lockstep_sgd(models: np.ndarray, pool: PooledShards, layout: BatchLayout, e
     """``epochs`` shuffled passes of mini-batch SGD over each of the
     layout's nodes' shards, all nodes in lockstep, updating their models
     in place.  A node with no batch left at a step is not touched."""
+    # Each block's rows are shuffled in place, one ``rng.permuted`` call per
+    # run of equal-length blocks: it shuffles the rows of the (blocks, len)
+    # view in order with shuffle's draws, which are ``rng.permutation(m_i)``'s
+    # applied to the block; test_permuted_runs_draw_what_the_per_block_shuffles_draw
+    # pins this.
+    np.copyto(layout.perms, layout.source)
+    for seg in layout.blocks:
+        rng.permuted(seg, axis=1, out=seg)
+    layout.flat[layout.dest] = layout.perms
     ranked = layout.ranked
-    rows = _lockstep_batches(layout, rng)
     mats = models.take(ranked, axis=0).reshape(ranked.size, pool.whole.outputs, -1)
-    for k, step_rows, step_counts, real in zip(layout.active, rows, layout.counts, layout.masks):
-        mats[:k] -= eta * local_gradient(pool, mats[:k], step_rows, step_counts, real)
+    for k, rows, counts, real in layout.steps:
+        mats[:k] -= eta * local_gradient(pool, mats[:k], rows, counts, real)
     models[ranked] = mats.reshape(ranked.size, -1)
 
 

@@ -37,8 +37,8 @@ SKIN = 0.2
 @dataclass(frozen=True)
 class MobilityConfig:
     """Movement parameters: area size in meters, speed interval in m/s,
-    pause on waypoint arrival in seconds, communication radius in meters,
-    and the duration of one simulation step in seconds."""
+    pause on waypoint arrival in seconds and communication radius in
+    meters.  One simulation step moves the nodes for one second."""
 
     area_width: float = 1000.0
     area_height: float = 1000.0
@@ -46,7 +46,6 @@ class MobilityConfig:
     speed_max: float = 7.0
     pause: float = 1.0
     radius: float = 250.0
-    step: float = 1.0
 
     def __post_init__(self) -> None:
         if not (self.area_width > 0 and self.area_height > 0):
@@ -57,8 +56,6 @@ class MobilityConfig:
             raise ValueError("pause must be nonnegative")
         if not self.radius > 0:
             raise ValueError("radius must be positive")
-        if not self.step > 0:
-            raise ValueError("step must be positive")
 
 
 @dataclass(frozen=True)
@@ -147,7 +144,7 @@ def init_mobility(n: int, cfg: MobilityConfig, rng: np.random.Generator) -> Mobi
 
 
 def step_mobility(state: MobilityState, cfg: MobilityConfig, rng: np.random.Generator) -> MobilityState:
-    """Advance every node by one step of ``cfg.step`` seconds.
+    """Advance every node by one step, one second of movement.
 
     Moving nodes head straight for their waypoint at their current speed
     and are clamped at the waypoint, where the pause starts within the
@@ -160,10 +157,10 @@ def step_mobility(state: MobilityState, cfg: MobilityConfig, rng: np.random.Gene
     to_wp = out.waypoints - out.positions
     dist = np.hypot(to_wp[:, 0], to_wp[:, 1])
     paused = (out.pause_remaining > 0.0) | (dist == 0.0)
-    out.pause_remaining[paused] = np.maximum(0.0, out.pause_remaining[paused] - cfg.step)
+    out.pause_remaining[paused] = np.maximum(0.0, out.pause_remaining[paused] - 1.0)
     redraw = paused & (out.pause_remaining == 0.0)
 
-    travel = out.speeds * cfg.step
+    travel = out.speeds  # meters covered in the step's one second
     arrived = ~paused & (travel >= dist)
     out.positions[arrived] = out.waypoints[arrived]
     out.pause_remaining[arrived] = cfg.pause

@@ -125,10 +125,10 @@ def step_mobility_loop(state, cfg, rng):
         dist = float(np.hypot(to_wp[0], to_wp[1]))
         redraw = False
         if out.pause_remaining[i] > 0.0 or dist == 0.0:
-            out.pause_remaining[i] = max(0.0, out.pause_remaining[i] - cfg.step)
+            out.pause_remaining[i] = max(0.0, out.pause_remaining[i] - 1.0)
             redraw = out.pause_remaining[i] == 0.0
         else:
-            travel = out.speeds[i] * cfg.step
+            travel = out.speeds[i]
             if travel >= dist:
                 out.positions[i] = wp
                 out.pause_remaining[i] = cfg.pause

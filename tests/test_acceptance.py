@@ -171,12 +171,7 @@ def test_criterion_5_heterogeneity_gap_behavior():
         for seed in range(20):
             srng = np.random.default_rng(seed + 1000)
             data = synthetic_blobs(5, 10, 280, 6.0, srng)
-            pcfg = (
-                PartitionConfig(alpha=math.inf, per_node=20)
-                if math.isinf(alpha)
-                else PartitionConfig(alpha=alpha)
-            )
-            shards = partition(data, 14, pcfg, srng)
+            shards = partition(data, 14, PartitionConfig(alpha=alpha), srng)
             suite = build_suite(data.features, data.targets.astype(float), shards,
                                 kind="ridge", reg=0.1, target_curvature=0.9)
             vals.append(suite.gamma)
@@ -273,11 +268,7 @@ def test_criterion_8_duration_parameter_ordering():
 def test_criterion_9_noniid_ordering():
     means = {}
     for alpha in (math.inf, 10.0, 1.0):
-        pcfg = (
-            PartitionConfig(alpha=math.inf, per_node=20)
-            if math.isinf(alpha)
-            else PartitionConfig(alpha=alpha)
-        )
+        pcfg = PartitionConfig(alpha=alpha)
         vals = []
         for seed in range(10):
             cfg = _ridge_run_config(

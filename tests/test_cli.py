@@ -76,13 +76,19 @@ def test_run_rejects_unknown_field(tmp_path, capsys):
     ({"partition": {"scheme": "iid", "alpha": "inf"}}, "unknown field 'partition.scheme'"),
     ({"suite": {"gamma_weights": "uniform"}}, "unknown field 'suite.gamma_weights'"),
     ({"eta": 0.05}, "field 'eta' must be an object"),
-], ids=["wtilde_mode", "partition.scheme", "suite.gamma_weights", "bare eta"])
+    # per_node sized the i.i.d. split only, and a Dirichlet split ignored it
+    ({"partition": {"alpha": 1.0, "per_node": 500}}, "unknown field 'partition.per_node'"),
+    ({"partition": {"alpha": "inf", "per_node": 10}}, "unknown field 'partition.per_node'"),
+    ({"mobility": {"step": 1.0}}, "unknown field 'mobility.step'"),
+], ids=["wtilde_mode", "partition.scheme", "suite.gamma_weights", "bare eta",
+        "per_node, finite alpha", "per_node, infinite alpha", "mobility.step"])
 def test_run_rejects_a_removed_config_form(tmp_path, capsys, patch, message):
     cfg = _write_config(tmp_path, dict(SMALL, **patch))
-    code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
-    assert code == EXIT_USAGE
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    out = tmp_path / "out"
+    for argv in (["run"], ["sweep", "--axis", "alpha", "--values", "inf,1", "--seeds", "1"]):
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_run_rejects_malformed_json_with_line_info(tmp_path, capsys):
@@ -136,9 +142,9 @@ ECHO_KEYS = {
 }
 ECHO_SECTION_KEYS = {
     "eta": {"kind", "eta0"},
-    "mobility": {"area_width", "area_height", "speed_min", "speed_max", "pause", "radius", "step"},
+    "mobility": {"area_width", "area_height", "speed_min", "speed_max", "pause", "radius"},
     "churn": {"dropout_p", "lambda"},
-    "partition": {"alpha", "per_node"},
+    "partition": {"alpha"},
     "suite": {"kind", "classes", "dim", "total", "separation", "reg", "target_curvature"},
 }
 
@@ -541,42 +547,38 @@ def test_check_missing_outputs_exits_two(tmp_path):
     assert main(["check", "--out", str(empty)]) == EXIT_USAGE
 
 
-def test_sweep_parallel_jobs_match_serial(tmp_path, monkeypatch):
+def test_sweep_parallel_jobs_match_serial(tmp_path):
     cfg = _write_config(tmp_path, SMALL)
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
     args = ["sweep", "--config", cfg, "--axis", "dropout_p",
             "--values", "0,0.2", "--seeds", "1,2"]
     assert main(args + ["--out", str(serial)]) == EXIT_OK
-    monkeypatch.setenv("GOSSIPSIM_JOBS", "2")
-    assert main(args + ["--out", str(parallel)]) == EXIT_OK
+    assert main(args + ["--out", str(parallel), "--jobs", "2"]) == EXIT_OK
     assert (serial / "summary.csv").read_bytes() == (parallel / "summary.csv").read_bytes()
     for trace in serial.glob("runs/*/*/trace.csv"):
         twin = parallel / trace.relative_to(serial)
         assert trace.read_bytes() == twin.read_bytes()
 
 
-@pytest.mark.parametrize("jobs", ["abc", "2.5", ""])
-def test_sweep_bad_jobs_env_is_a_config_error(tmp_path, capsys, monkeypatch, jobs):
+def test_sweep_reads_no_environment_variable(tmp_path, monkeypatch):
+    # GOSSIPSIM_JOBS once overrode --jobs, and a non-integer value exited 2
     cfg = _write_config(tmp_path, SMALL)
-    monkeypatch.setenv("GOSSIPSIM_JOBS", jobs)
-    code = main(["sweep", "--config", cfg, "--axis", "dropout_p",
-                 "--values", "0", "--seeds", "1", "--out", str(tmp_path / "s")])
-    assert code == EXIT_USAGE
-    assert "config error: GOSSIPSIM_JOBS" in capsys.readouterr().err
+    monkeypatch.setenv("GOSSIPSIM_JOBS", "abc")
+    assert main(["sweep", "--config", cfg, "--axis", "dropout_p",
+                 "--values", "0", "--seeds", "1", "--out", str(tmp_path / "s")]) == EXIT_OK
+    assert (tmp_path / "s" / "summary.csv").exists()
 
 
-@pytest.mark.parametrize("flag, env", [("-2", None), ("0", None), (None, "0"), ("3", "-1")])
+@pytest.mark.parametrize("flag, env", [("-2", None), ("0", None), ("0", "4")])
 def test_sweep_jobs_below_one_is_a_config_error(tmp_path, capsys, monkeypatch, flag, env):
+    # env: a GOSSIPSIM_JOBS value set alongside, which must not override the flag
     cfg = _write_config(tmp_path, SMALL)
     if env is not None:
         monkeypatch.setenv("GOSSIPSIM_JOBS", env)
-    else:
-        monkeypatch.delenv("GOSSIPSIM_JOBS", raising=False)
     args = ["sweep", "--config", cfg, "--axis", "dropout_p",
             "--values", "0", "--seeds", "1", "--out", str(tmp_path / "s")]
-    assert main(args + (["--jobs", flag] if flag else [])) == EXIT_USAGE
-    source = "GOSSIPSIM_JOBS" if env is not None else "--jobs"
-    assert f"config error: {source} must be at least 1" in capsys.readouterr().err
+    assert main(args + ["--jobs", flag]) == EXIT_USAGE
+    assert "config error: --jobs must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
 
 
@@ -683,9 +685,20 @@ def _zero_nodes(config):
     config["n"] = 0
 
 
+def _echo_a_shard_size(config):
+    config["partition"]["per_node"] = 0
+
+
+def _echo_a_step_length(config):
+    config["mobility"]["step"] = 1.0
+
+
 @pytest.mark.parametrize("edit, reason", [
     (_drop_churn_lambda, "not a canonical echo"),
     (_zero_nodes, "n must be at least 1"),
+    # what a manifest echoed before partition.per_node and mobility.step went
+    (_echo_a_shard_size, "unknown field 'partition.per_node'"),
+    (_echo_a_step_length, "unknown field 'mobility.step'"),
 ])
 def test_check_parses_the_manifest_config_like_a_config_file(tmp_path, capsys, edit, reason):
     cfg = _write_config(tmp_path, SMALL)
@@ -700,29 +713,10 @@ def test_check_parses_the_manifest_config_like_a_config_file(tmp_path, capsys, e
     assert reason in captured.err
 
 
-def test_run_rejects_a_shard_size_under_a_finite_alpha(tmp_path, capsys):
-    # per_node sizes the i.i.d. split only; a Dirichlet split used to
-    # ignore it and echo it in the manifest
-    cfg = _write_config(tmp_path, {"n": 4, "rounds": 3, "suite": {"total": 40},
-                                   "partition": {"alpha": 1.0, "per_node": 500}})
-    code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
-    assert code == EXIT_USAGE
-    assert "partition.per_node" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_sweep_rejects_an_alpha_axis_that_leaves_a_shard_size_behind(tmp_path, capsys):
-    cfg = _write_config(tmp_path, dict(SMALL, partition={"alpha": "inf", "per_node": 10}))
-    code = main(["sweep", "--config", cfg, "--axis", "alpha", "--values", "inf,1",
-                 "--seeds", "1", "--out", str(tmp_path / "s")])
-    assert code == EXIT_USAGE
-    assert "partition.per_node" in capsys.readouterr().err
-    assert not (tmp_path / "s").exists()
-
-
 @pytest.mark.parametrize("patch, code, message", [
     ({"suite": {"total": 13}}, EXIT_USAGE, "suite.total 13 is too small: 14 nodes"),
-    ({"partition": {"alpha": "inf", "per_node": 21}}, EXIT_USAGE, "need at least 294 samples"),
+    ({"partition": {"alpha": "inf"}, "suite": {"total": 13}}, EXIT_USAGE,
+     "14 nodes need at least 14 samples"),
     ({"partition": {"alpha": 0.01}, "suite": {"total": 14}}, EXIT_RUNTIME,
      "could not give every one of 14 nodes a sample"),
 ])

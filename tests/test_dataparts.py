@@ -66,17 +66,13 @@ def test_partition_config_validation():
         PartitionConfig(alpha=-math.inf)
     with pytest.raises(ValueError):
         PartitionConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        PartitionConfig(alpha=math.inf, per_node=-1)
-    with pytest.raises(ValueError, match="per_node"):
-        PartitionConfig(alpha=1.0, per_node=5)
 
 
 def test_iid_histograms_track_global_within_one():
     rng = np.random.default_rng(3)
     data = synthetic_blobs(10, 2, 600, 5.0, rng)
     n, per_node = 6, 100
-    shards = partition(data, n, PartitionConfig(alpha=math.inf, per_node=per_node), rng)
+    shards = partition(data, n, PartitionConfig(alpha=math.inf), rng)
     global_counts = np.bincount(data.targets, minlength=10) / data.total
     for shard in shards:
         assert len(shard) == per_node
@@ -88,17 +84,11 @@ def test_iid_histograms_track_global_within_one():
 def test_partition_indices_disjoint_and_within_draw():
     rng = np.random.default_rng(4)
     data = synthetic_blobs(4, 2, 120, 5.0, rng)
-    for cfg in (
-        PartitionConfig(alpha=math.inf, per_node=20),
-        PartitionConfig(alpha=1.0),
-    ):
+    for cfg in (PartitionConfig(alpha=math.inf), PartitionConfig(alpha=1.0)):
         shards = partition(data, 5, cfg, rng)
         merged = np.concatenate(shards)
         assert len(merged) == len(set(merged.tolist()))
-        if math.isfinite(cfg.alpha):
-            assert sorted(merged.tolist()) == list(range(120))
-        else:
-            assert len(merged) == 100
+        assert sorted(merged.tolist()) == list(range(120))
 
 
 def test_dirichlet_low_alpha_has_lower_label_entropy():
@@ -159,12 +149,7 @@ def test_gamma_nonincreasing_in_alpha_on_average():
         for seed in range(20):
             rng = np.random.default_rng(seed)
             data = synthetic_blobs(5, 6, 140, 5.0, rng)
-            cfg = (
-                PartitionConfig(alpha=math.inf, per_node=10)
-                if math.isinf(alpha)
-                else PartitionConfig(alpha=alpha)
-            )
-            shards = partition(data, 14, cfg, rng)
+            shards = partition(data, 14, PartitionConfig(alpha=alpha), rng)
             suite = build_suite(data.features, data.targets.astype(float), shards,
                                 kind="ridge", reg=0.1)
             vals.append(suite.gamma)

@@ -84,7 +84,6 @@ NAN = math.nan
     (lambda: MobilityConfig(area_height=NAN), "area_width and area_height must be positive"),
     (lambda: MobilityConfig(pause=NAN), "pause must be nonnegative"),
     (lambda: MobilityConfig(radius=NAN), "radius must be positive"),
-    (lambda: MobilityConfig(step=NAN), "step must be positive"),
     (lambda: SuiteSpec(reg=NAN), "reg must be positive"),
     (lambda: SuiteSpec(separation=NAN), "separation must be positive"),
     (lambda: SuiteSpec(target_curvature=NAN), "target_curvature must be positive"),
@@ -96,7 +95,7 @@ NAN = math.nan
     (lambda: connectivity(init_mobility(3, MobilityConfig(), np.random.default_rng(0)), NAN),
      "radius must be positive"),
 ], ids=["eta0", "churn.rate", "init_scale", "area_width", "area_height", "pause", "radius",
-        "step", "suite.reg", "separation", "target_curvature", "alpha", "problem.reg",
+        "suite.reg", "separation", "target_curvature", "alpha", "problem.reg",
         "absence_duration", "blobs.separation", "connectivity.radius"])
 def test_nan_fails_the_range_checks(build, message):
     with pytest.raises(ValueError, match=message):
@@ -214,7 +213,7 @@ def test_descent_beats_pooled_sgd_oracle_within_factor():
         churn=ChurnConfig(dropout_p=0.0),
         eta=EtaSchedule("constant", 0.05),
         suite=SuiteSpec(classes=3, dim=4, total=60, reg=0.2, target_curvature=0.8),
-        partition=PartitionConfig(alpha=math.inf, per_node=10),
+        partition=PartitionConfig(alpha=math.inf),
     )
     suite = build_problem_suite(cfg)
     rows = run_simulation(cfg.sim, suite)
@@ -354,7 +353,7 @@ def test_lockstep_sgd_matches_the_per_node_loop(kind, sizes, batch, epochs, offl
 def test_permuted_runs_draw_what_the_per_block_shuffles_draw(kind, runs, batch, epochs, offline,
                                                              dropout_p, seed):
     """Shard sizes come in runs: single shards, runs of 20 or more equal
-    shards, and shards of one sample.  ``_lockstep_batches`` shuffles each
+    shards, and shards of one sample.  ``_lockstep_sgd`` shuffles each
     run of equal-length blocks with one ``Generator.permuted`` call, so the
     models and the training stream match the per-node loop only because
     numpy's ``permuted`` shuffles the rows in order with ``shuffle``'s own

@@ -43,7 +43,6 @@ def test_init_same_seed_same_positions():
     dict(speed_min=0.0),
     dict(speed_min=8.0, speed_max=7.0),
     dict(radius=0.0),
-    dict(step=0.0),
     dict(pause=-1.0),
 ])
 def test_invalid_config_rejected(bad):
@@ -52,7 +51,7 @@ def test_invalid_config_rejected(bad):
 
 
 def test_straight_line_step():
-    cfg = MobilityConfig(speed_min=5, speed_max=5, step=1.0)
+    cfg = MobilityConfig(speed_min=5, speed_max=5)
     st = MobilityState(
         positions=np.array([[0.0, 0.0]]),
         waypoints=np.array([[100.0, 0.0]]),
@@ -64,7 +63,7 @@ def test_straight_line_step():
 
 
 def test_pause_consumed_then_new_waypoint():
-    cfg = MobilityConfig(pause=1.0, step=1.0)
+    cfg = MobilityConfig(pause=1.0)
     st = MobilityState(
         positions=np.array([[10.0, 10.0]]),
         waypoints=np.array([[10.0, 10.0]]),
@@ -78,7 +77,7 @@ def test_pause_consumed_then_new_waypoint():
 
 
 def test_arrival_clamps_at_waypoint_and_starts_pause():
-    cfg = MobilityConfig(pause=1.0, step=1.0)
+    cfg = MobilityConfig(pause=1.0)
     st = MobilityState(
         positions=np.array([[0.0, 0.0]]),
         waypoints=np.array([[3.0, 0.0]]),
@@ -110,7 +109,7 @@ def test_positions_stay_in_bounds_and_step_bounded():
             assert np.all(st.positions[:, 0] >= 0) and np.all(st.positions[:, 0] <= 300)
             assert np.all(st.positions[:, 1] >= 0) and np.all(st.positions[:, 1] <= 150)
             moved = np.linalg.norm(st.positions - prev, axis=1)
-            assert np.all(moved <= cfg.speed_max * cfg.step + 1e-9)
+            assert np.all(moved <= cfg.speed_max + 1e-9)
 
 
 def test_trajectory_is_reproducible_for_fixed_seed():

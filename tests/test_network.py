@@ -54,7 +54,6 @@ def waypoint_runs(draw, pause_zero: bool):
         speed_min=speed_min,
         speed_max=draw(st.floats(speed_min, 12.0)),
         pause=0.0 if pause_zero else draw(st.floats(0.1, 4.0)),
-        step=draw(st.floats(0.25, 3.0)),
     )
     n = draw(st.integers(1, 25))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -64,7 +63,7 @@ def waypoint_runs(draw, pause_zero: bool):
     state.pause_remaining[:] = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 4.0, n))
     exact = kind == 2
     state.positions[exact, 0] = 0.0
-    state.waypoints[exact, 0] = state.speeds[exact] * cfg.step
+    state.waypoints[exact, 0] = state.speeds[exact]
     state.waypoints[exact, 1] = state.positions[exact, 1]
     state.pause_remaining[exact] = 0.0
     return cfg, state, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 60))

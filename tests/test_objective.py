@@ -342,7 +342,7 @@ def test_target_curvature_pins_smoothness():
     suite = _random_suite(np.random.default_rng(21))
     data_rng = np.random.default_rng(22)
     data = synthetic_blobs(3, 4, 60, 4.0, data_rng)
-    shards = partition(data, 4, PartitionConfig(alpha=math.inf, per_node=15), data_rng)
+    shards = partition(data, 4, PartitionConfig(alpha=math.inf), data_rng)
     pinned = build_suite(data.features, data.targets.astype(float), shards,
                          kind="ridge", reg=0.1, target_curvature=0.9)
     assert pinned.L == pytest.approx(1.0, abs=1e-9)
