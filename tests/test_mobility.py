@@ -43,6 +43,7 @@ def test_init_same_seed_same_positions():
     dict(speed_min=0.0),
     dict(speed_min=8.0, speed_max=7.0),
     dict(radius=0.0),
+    dict(radius=float("nan")),
     dict(pause=-1.0),
 ])
 def test_invalid_config_rejected(bad):
