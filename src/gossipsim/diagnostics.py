@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .accessibility import accessible_mask
-from .objective import _node_gradient_change, _power
+from .objective import _power, _ridge_gradient_change, softmax_scores
 
 __all__ = [
     "TraceRow",
@@ -90,15 +90,18 @@ def gradient_gap(models, accessible, suite) -> float:
     gradient at its own model (weight 1/n).  Zero when nobody is dropped
     or when all models coincide.  ``suite`` is a ProblemSuite; its pooled
     view is built on first use.  For ridge the difference is taken
-    through each node's Gram matrix, never as a difference of gradients.
+    through each node's Gram matrix, never as a difference of gradients;
+    softmax reads it off :func:`~gossipsim.objective.softmax_scores`.
     """
     arr = _as_models(models)
     mask = accessible_mask(arr.shape[0], accessible)
+    if suite.kind == "softmax":
+        return float(np.linalg.norm(softmax_scores(suite, arr, mask)[2]))
     split = arr.copy()
     if mask.any():
         split[mask] = arr[mask].mean(axis=0)
     full = np.broadcast_to(arr.mean(axis=0), arr.shape)
-    return float(np.linalg.norm(_node_gradient_change(suite, split, full)))
+    return float(np.linalg.norm(_ridge_gradient_change(suite, split, full)))
 
 
 def gradient_gap_bound(models, accessible, smoothness: float, eta: float) -> tuple[float, float]:

@@ -146,4 +146,6 @@ def deemphasize_rejoined(matrix: GossipMatrix, nodes, factor: float) -> GossipMa
         raise ValueError("factor must lie in [0, 1]")
     rejoining = accessible_mask(matrix.n, nodes)
     k = rejoining[matrix.i].astype(np.intp) + rejoining[matrix.j]
-    return _with_diagonal(matrix.n, matrix.i, matrix.j, matrix.w * factor ** k)
+    # factor**k from a table of its three values: one pow each, the same bits
+    scale = np.power(factor, np.arange(3.0)).take(k)
+    return _with_diagonal(matrix.n, matrix.i, matrix.j, matrix.w * scale)

@@ -34,15 +34,19 @@ node's Gram once, and w* solves with the node means the scorers cache.
 
 Softmax has no such closed form and runs over one pooled view of the
 shards (:class:`PooledShards`): the samples stacked in node order with
-each shard's start offset.  A (k, d) model stack is scored in blocks of
-models: each block's outputs W X^T, laid out (models, outputs, samples),
-are the batched product of every model's weights with the pooled
-features, and each sample's loss is weighted by 1/(n m_i) and summed
-along its model's row.  A block holds as many models as keep its outputs
-within 64 KB, so the block's temporaries stay in cache; one stacked
-(N, k) product costs as much as a loop over the models.  Each model gets
-a product of its own, never a slice of one product over the block, so a
-model scores the same whichever block it lands in, and alone.  Local SGD
+each shard's start offset.  A (k, d) model stack is scored in one pass
+over blocks of models (:func:`_softmax_pass`): each block's outputs
+W X^T, laid out (models, outputs, samples), are the batched product of
+every model's weights with the pooled features.  Each block yields every
+model's loss, each sample's loss weighted by 1/(n m_i) and summed along
+its model's row, and its accuracy without argmax: a sample is right iff
+its target's logit is the class max the loss already took and no class
+ahead of the target reaches it.  Given the round's split, the same pass
+yields the gradient gap: a dropped node's own logits on its own samples
+are columns of its block.  A block holds as many models as keep its
+outputs within 256 KB (see ``_BLOCK_BYTES``).  Each model gets a product
+of its own, never a slice of one product over the block, so a model
+scores the same whichever block it lands in, and alone.  Local SGD
 runs over the same view for both families: :func:`lockstep_gradient`
 takes one mini-batch gradient of every training node at once.
 ``local_loss`` and ``local_gradient`` are the per-node reference the
@@ -71,7 +75,7 @@ __all__ = [
     "global_loss",
     "global_accuracy",
     "global_gradient",
-    "node_mean_gradient",
+    "softmax_scores",
     "lockstep_gradient",
     "heterogeneity_gap",
     "grad_bound_estimate",
@@ -127,6 +131,12 @@ class NodeProblem:
         return self.features.shape[1] * self.outputs
 
     @cached_property
+    def target_index(self) -> np.ndarray:
+        """Each softmax sample's target logit as a flat index into its
+        (classes, samples) outputs: y_j * m + j."""
+        return self.targets * self.m + np.arange(self.m)
+
+    @cached_property
     def gram(self) -> np.ndarray:
         """H = X^T X / m, built on first use: the curvature constant, the
         ridge solves and the ridge scorers all read this one copy."""
@@ -157,23 +167,39 @@ def _batch_rows(p: NodeProblem, batch):
     return idx
 
 
-def _sample_loss(kind: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Loss of each sample's outputs ``z[..., :, j]`` against its target
-    ``y[j]``: half the squared residual for ridge, the cross-entropy of the
-    logits for softmax.  ``z`` is laid out (..., outputs, samples), as
-    W X^T gives it."""
-    if kind == "ridge":
-        resid = z[..., 0, :] - y
+def _sample_loss(p: NodeProblem, z: np.ndarray) -> np.ndarray:
+    """Loss of each sample's outputs ``z[..., :, j]`` against its target:
+    half the squared residual for ridge, the cross-entropy of the logits
+    for softmax.  ``z`` is laid out (..., outputs, samples), as W X^T of
+    the problem's samples gives it."""
+    if p.kind == "ridge":
+        resid = z[..., 0, :] - p.targets
         return 0.5 * resid * resid
+    return _softmax_terms(z, p.target_index)[0]
+
+
+def _softmax_terms(z: np.ndarray, target_index: np.ndarray):
+    """The softmax branch of :func:`_sample_loss`, with the two logits
+    per sample it reads on the way: the class max ``top`` and the
+    target's logit ``z_y``, each shaped like the loss.  ``target_index``
+    is :attr:`NodeProblem.target_index` of the samples."""
     top = z.max(axis=-2)
-    log_z = np.log(np.exp(z - top[..., None, :]).sum(axis=-2)) + top
-    return log_z - z[..., y, np.arange(y.size)]
+    # take at flat indices: a fraction of the time of z[..., y, arange(m)]
+    z_y = z.reshape(*top.shape[:-1], -1).take(target_index, axis=-1)
+    e = z - top[..., None, :]
+    np.exp(e, out=e)
+    loss = np.log(e.sum(axis=-2))
+    loss += top
+    loss -= z_y
+    return loss, top, z_y
 
 
 def _sample_dloss(kind: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Derivative of :func:`_sample_loss` with respect to ``z``: the
-    residual for ridge, the softmax probabilities minus the one-hot
-    target for softmax."""
+    """Derivative of :func:`_sample_loss` with respect to ``z``, laid out
+    (samples, outputs): the residual for ridge, the softmax probabilities
+    minus the one-hot target for softmax.  A softmax ``y`` is the labels,
+    or their one-hot rows (:attr:`PooledShards.target_rows`), which give
+    the same bits: x - 0.0 is x for every float."""
     if kind == "ridge":
         return z - y[:, None]
     # the row max class by class: a reduction along the short class axis
@@ -182,15 +208,19 @@ def _sample_dloss(kind: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     for c in range(1, z.shape[1]):
         np.maximum(top, z[:, c], out=top)
     e = np.exp(z - top[:, None])
-    dz = e / e.sum(axis=1, keepdims=True)
-    dz[np.arange(y.size), y] -= 1.0
+    # add.reduce is what e.sum calls, without its Python wrapper
+    dz = e / np.add.reduce(e, axis=1, keepdims=True)
+    if y.ndim == 2:
+        np.subtract(dz, y, out=dz)
+    else:
+        dz[np.arange(y.size), y] -= 1.0
     return dz
 
 
 def local_loss(p: NodeProblem, w) -> float:
     """Value of node loss at ``w`` (full shard)."""
     mat = _weights(p, w)
-    per_sample = _sample_loss(p.kind, mat @ p.features.T, p.targets)
+    per_sample = _sample_loss(p, mat @ p.features.T)
     return float(per_sample.sum() / p.m + 0.5 * p.reg * np.vdot(mat, mat))
 
 
@@ -264,6 +294,21 @@ class PooledShards:
         return np.ascontiguousarray(self.whole.features.T)
 
     @cached_property
+    def target_rows(self) -> np.ndarray:
+        """Each pooled sample's target as the lockstep step gathers it for
+        :func:`_sample_dloss`: the ridge values, or the softmax labels'
+        one-hot rows, whose subtraction costs less than indexing."""
+        p = self.whole
+        return np.eye(p.outputs)[p.targets] if p.kind == "softmax" else p.targets
+
+    @cached_property
+    def before_target(self) -> np.ndarray:
+        """The (classes, N) mask of the classes ahead of each softmax
+        sample's target, which an accuracy tie with the target must miss."""
+        p = self.whole
+        return np.arange(p.outputs)[:, None] < p.targets
+
+    @cached_property
     def ridge_means(self) -> tuple[np.ndarray, np.ndarray, float]:
         """The ridge network objective's (H + reg I, b, c), built on first
         use; see :func:`_ridge_means`."""
@@ -319,12 +364,16 @@ def _model_stack(pool: PooledShards, models) -> tuple[np.ndarray, bool]:
     return stack, w.ndim == 1
 
 
-# Largest (b, outputs, N) block of model outputs the softmax scorers build;
-# ridge scores from the Gram statistics and builds no blocks.  Scoring 100
-# models on 2000 samples took 1.2-1.4 ms with blocks of 64-128 KB and
-# 2.5-4 ms with blocks of 256 KB or more, whose temporaries no longer stay
-# in cache (2-core Xeon, OpenBLAS 0.3.31, one thread).
-_BLOCK_BYTES = 64 * 1024
+# Largest (b, outputs, N) block of model outputs the softmax pass builds;
+# ridge scores from the Gram statistics and builds no blocks.  One
+# softmax_scores call on softmax-sgd's 14 models (5 classes, 1400 samples,
+# 56 KB of outputs a model) took a median of 980 us with 64 KB blocks,
+# 775 us at 128 KB, 710 us at 256 KB and 1105 us at 512 KB, over that
+# config's 50 rounds (2-core Xeon with 4 MiB of L2, OpenBLAS 0.3.31, one
+# thread).  The cliff is not cache: a 512 KB block's temporaries cost
+# about 300 minor page faults a call (resource.getrusage), against at
+# most 1.4 at 256 KB and none below.
+_BLOCK_BYTES = 256 * 1024
 
 
 def _output_blocks(pool: PooledShards, stack: np.ndarray):
@@ -341,6 +390,75 @@ def _output_blocks(pool: PooledShards, stack: np.ndarray):
         yield rows, np.matmul(mats[rows], pool.features_t)
 
 
+def _top1(z: np.ndarray, top: np.ndarray, z_y: np.ndarray, pool: PooledShards) -> np.ndarray:
+    """``z.argmax(axis=-2) == y`` of a (b, classes, N) block with the
+    class max ``top`` and target logits ``z_y`` of :func:`_softmax_terms`:
+    a sample is right iff its target reaches the max and no class ahead
+    of the target does, as argmax takes the first maximum.  A block with
+    a NaN maximum takes argmax itself, which ranks a NaN first."""
+    if np.isnan(top).any():
+        return z.argmax(axis=-2) == pool.whole.targets
+    ties = z == top[:, None, :]
+    ties &= pool.before_target
+    return (z_y == top) & ~np.logical_or.reduce(ties, axis=-2)
+
+
+def _softmax_pass(pool: PooledShards, stack: np.ndarray, accessible=None):
+    """Loss and accuracy of each model of a softmax (k, d) stack from one
+    pass over its output blocks, as (loss, accuracy, gap).
+
+    ``accessible`` is None, giving gap None, or a boolean mask over the
+    stack's k = n node models.  The gap is then
+    (1/n) sum_i [grad F_i(split_i) - grad F_i(wbar)], where split_i is the
+    accessible nodes' mean for an accessible node and its own model for a
+    dropped one.  The logits of wbar and of the accessible mean take one
+    product each, a dropped node's own logits on its own samples are
+    columns of its block, and the two softmax derivatives are differenced
+    before the one product with the features."""
+    p = pool.whole
+    loss = 0.5 * p.reg * (stack * stack).sum(axis=1)
+    acc = np.empty(len(stack))
+    if accessible is not None:
+        if accessible.shape != (pool.n,) or len(stack) != pool.n:
+            raise ValueError(f"the gap needs {pool.n} models and a mask of shape ({pool.n},)")
+        split = stack.copy()
+        wbar = stack.mean(axis=0)
+        z_split = np.empty((p.outputs, p.m))
+        if accessible.any():
+            split[accessible] = mean_in = stack[accessible].mean(axis=0)
+            np.matmul(mean_in.reshape(p.outputs, -1), pool.features_t, out=z_split)
+        ends = pool.offsets + pool.sizes
+    for rows, z in _output_blocks(pool, stack):
+        per_sample, top, z_y = _softmax_terms(z, p.target_index)
+        loss[rows] += (per_sample * pool.sample_weights).sum(axis=1)
+        acc[rows] = _top1(z, top, z_y, pool).mean(axis=1)
+        if accessible is not None:
+            for b in np.flatnonzero(~accessible[rows]).tolist():
+                i = rows.start + b
+                cols = slice(pool.offsets[i], ends[i])
+                z_split[:, cols] = z[b, :, cols]
+    if accessible is None:
+        return loss, acc, None
+    z_bar = wbar.reshape(p.outputs, -1) @ pool.features_t
+    dz = _sample_dloss(p.kind, z_split.T, p.targets) - _sample_dloss(p.kind, z_bar.T, p.targets)
+    grad = (pool.sample_weights[:, None] * dz).T @ p.features
+    # the mean of the differences, which is 0 when nobody is dropped
+    return loss, acc, grad.ravel() + p.reg * (split - wbar).mean(axis=0)
+
+
+def softmax_scores(problems, models, accessible):
+    """Each node model's loss and accuracy, and the gradient gap vector,
+    from one :func:`_softmax_pass` over an (n, d) ``models`` of a softmax
+    suite; ``accessible`` is the (n,) boolean split of the gap.
+    :func:`global_loss`, :func:`global_accuracy` and the softmax
+    ``gradient_gap`` are views of the same pass."""
+    pool = _pooled(problems)
+    if pool.whole.kind != "softmax":
+        raise ValueError("softmax_scores needs a softmax problem")
+    stack, _ = _model_stack(pool, models)
+    return _softmax_pass(pool, stack, np.asarray(accessible, dtype=bool))
+
+
 def global_loss(problems, models):
     """Unweighted mean of the node losses (the network objective).
 
@@ -350,16 +468,13 @@ def global_loss(problems, models):
     """
     pool = _pooled(problems)
     stack, single = _model_stack(pool, models)
-    p = pool.whole
-    if p.kind == "ridge":
+    if pool.whole.kind == "ridge":
         # w^T (1/2 (H + reg I) w - b) + c/2, one product per model
         h, b, c = pool.ridge_means
         rows = stack[:, None, :]
         values = np.matmul(0.5 * np.matmul(rows, h) - b, stack[:, :, None])[:, 0, 0] + 0.5 * c
     else:
-        values = 0.5 * p.reg * (stack * stack).sum(axis=1)
-        for rows, z in _output_blocks(pool, stack):
-            values[rows] += (_sample_loss(p.kind, z, p.targets) * pool.sample_weights).sum(axis=1)
+        values = _softmax_pass(pool, stack)[0]
     return float(values[0]) if single else values
 
 
@@ -370,15 +485,14 @@ def global_accuracy(problems, models):
     if pool.whole.kind != "softmax":
         raise ValueError("accuracy is defined for softmax problems only")
     stack, single = _model_stack(pool, models)
-    values = np.empty(len(stack))
-    for rows, z in _output_blocks(pool, stack):
-        values[rows] = (z.argmax(axis=1) == pool.whole.targets).mean(axis=1)
+    values = _softmax_pass(pool, stack)[1]
     return float(values[0]) if single else values
 
 
 def node_mean_gradient(problems, points) -> np.ndarray:
     """Mean of the node gradients, node i's taken at ``points[i]``:
-    (1/n) sum_i grad F_i(points[i]) for an (n, d) ``points``."""
+    (1/n) sum_i grad F_i(points[i]) for an (n, d) ``points``.  The
+    sample-by-sample reference of the gradient gaps."""
     pool = _pooled(problems)
     p = pool.whole
     points = np.asarray(points, dtype=float)
@@ -391,16 +505,13 @@ def node_mean_gradient(problems, points) -> np.ndarray:
     return grad.ravel() + p.reg * points.mean(axis=0)
 
 
-def _node_gradient_change(problems, points, base) -> np.ndarray:
-    """(1/n) sum_i [grad F_i(points[i]) - grad F_i(base[i])] for (n, d)
-    ``points`` and ``base``.  Ridge gradients are affine, so this is
+def _ridge_gradient_change(problems, points, base) -> np.ndarray:
+    """(1/n) sum_i [grad F_i(points[i]) - grad F_i(base[i])] for ridge
+    (n, d) ``points`` and ``base``.  Ridge gradients are affine, so this is
     (1/n) sum_i (H_i + reg I)(points[i] - base[i]), one product with the
     stacked node Hessians, with no subtraction of two nearly equal
-    gradients; softmax takes the difference of two
-    :func:`node_mean_gradient` calls."""
+    gradients."""
     pool = _pooled(problems)
-    if pool.whole.kind != "ridge":
-        return node_mean_gradient(pool, points) - node_mean_gradient(pool, base)
     delta = np.asarray(points, dtype=float) - base
     if delta.shape != (pool.n, pool.whole.dim):
         raise ValueError(f"points have shape {delta.shape}, expected ({pool.n}, {pool.whole.dim})")
@@ -423,7 +534,7 @@ def lockstep_gradient(pool: PooledShards, mats: np.ndarray, rows: np.ndarray,
     # take: about half the time of fancy indexing at local SGD's shapes
     x = p.features.take(rows, axis=0)
     z = np.matmul(x, mats.transpose(0, 2, 1))
-    dz = _sample_dloss(p.kind, z.reshape(-1, p.outputs), p.targets.take(rows).ravel())
+    dz = _sample_dloss(p.kind, z.reshape(-1, p.outputs), pool.target_rows.take(rows.ravel(), axis=0))
     dz = dz.reshape(z.shape)
     if real is not None:
         np.multiply(dz, real, out=dz)

@@ -51,6 +51,32 @@ def local_accuracy(p, w: np.ndarray) -> float:
     return float(np.mean(pred == p.targets))
 
 
+def gradient_gap_longdouble(problems, models: np.ndarray, mask: np.ndarray) -> float:
+    """The softmax gradient gap in ``np.longdouble``: the norm of
+    (1/n) sum_i [grad F_i(split_i) - grad F_i(wbar)], where split_i is
+    the accessible nodes' mean for an accessible node and its own model
+    for a dropped one, each gradient written out in full as
+    (softmax(X W^T) - onehot(y))^T X / m + reg W."""
+    ld = np.longdouble
+    models = np.asarray(models, dtype=ld)
+    wbar = models.mean(axis=0)
+    split = models.copy()
+    if mask.any():
+        split[mask] = models[mask].mean(axis=0)
+
+    def grad(p, w):
+        x = p.features.astype(ld)
+        mat = w.reshape(p.n_classes, -1)
+        z = x @ mat.T
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        dz = e / e.sum(axis=1, keepdims=True)
+        dz[np.arange(p.m), p.targets] -= 1
+        return (dz.T @ x / p.m + p.reg * mat).ravel()
+
+    total = sum(grad(p, s) - grad(p, wbar) for p, s in zip(problems, split))
+    return float(np.sqrt(np.sum((total / len(problems)) ** 2)))
+
+
 def per_sample_grad_sq_norms(p, w: np.ndarray) -> np.ndarray:
     """Squared norm of each single-sample gradient at ``w``, every gradient
     written out in full: (x.w - y) x + reg w for ridge, and
