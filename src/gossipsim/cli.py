@@ -242,7 +242,10 @@ def _check_traces(out: Path):
         path = mpath
         try:
             with open(mpath) as fh:
-                echo = json.load(fh)["config"]
+                manifest = json.load(fh)
+            if not isinstance(manifest, dict):
+                raise ValueError("manifest is not a JSON object")
+            echo = manifest["config"]
             config = run_config_from_dict(echo)
             if run_config_to_dict(config) != echo:
                 raise ValueError("config is not a canonical echo (a field is missing or altered)")

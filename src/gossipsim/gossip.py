@@ -7,8 +7,9 @@ they neither send nor receive mass.
 
 A matrix is stored as its links and its diagonal: each link i < j carries
 one weight, used for both directions, and the diagonal holds the rest of
-each row.  Nothing on the per-round path is n-by-n; mixing and verification
-read the one full form, the CSR ``GossipMatrix.weights``, built on first read.
+each row.  Nothing on the per-round path is n-by-n.  Verification reads the
+stored form; mixing reads the one full form, the CSR ``GossipMatrix.weights``,
+built on first read.
 """
 
 from __future__ import annotations
@@ -89,32 +90,19 @@ def build_gossip_matrix(adj, accessible) -> GossipMatrix:
     return _with_diagonal(n, i, j, w)
 
 
-def verify_doubly_stochastic(matrix, tol: float = 1e-9) -> bool:
-    """True iff the matrix is symmetric, entrywise in [0, 1], and every
-    row and column sums to 1, all within ``tol``.  Takes a GossipMatrix,
-    a scipy sparse matrix or a dense array; only stored entries are read."""
-    if isinstance(matrix, GossipMatrix):
-        matrix = matrix.weights
-    coo = sparse.coo_array(matrix, dtype=float)
-    if coo.ndim != 2 or coo.shape[0] != coo.shape[1]:
+def verify_doubly_stochastic(matrix: GossipMatrix, tol: float = 1e-9) -> bool:
+    """True iff every stored weight, link or diagonal, lies in [0, 1] and
+    every row sums to 1, all within ``tol``; a NaN fails.  The stored form
+    is symmetric by construction, and each link's one weight serves both
+    directions, so the column sums are the row sums."""
+    if not isinstance(matrix, GossipMatrix):
+        raise TypeError(f"expected a GossipMatrix, got {type(matrix).__name__}")
+    n, i, j, w = matrix.n, matrix.i, matrix.j, matrix.w
+    vals = np.concatenate([w, matrix.diag])
+    if not np.all((vals >= -tol) & (vals <= 1.0 + tol)):
         return False
-    n, (rows, cols), vals = coo.shape[0], coo.coords, coo.data
-    # g - g.T on the union of the stored positions and their mirrors
-    keys, where = np.unique(np.concatenate([rows * n + cols, cols * n + rows]),
-                            return_inverse=True)
-    m = vals.size
-    asym = np.bincount(where[:m], vals, keys.size) - np.bincount(where[m:], vals, keys.size)
-    if not np.all(np.abs(asym) <= tol):
-        return False
-    low, high = (vals.min(), vals.max()) if m else (0.0, 0.0)
-    if m < n * n:  # unstored entries are zeros
-        low, high = min(low, 0.0), max(high, 0.0)
-    if not (low >= -tol and high <= 1.0 + tol):
-        return False
-    return bool(
-        np.all(np.abs(np.bincount(rows, vals, n) - 1.0) <= tol)
-        and np.all(np.abs(np.bincount(cols, vals, n) - 1.0) <= tol)
-    )
+    rows = np.bincount(i, w, minlength=n) + np.bincount(j, w, minlength=n) + matrix.diag
+    return bool(np.all(np.abs(rows - 1.0) <= tol))
 
 
 def gossip_average(models, matrix: GossipMatrix) -> np.ndarray:

@@ -90,7 +90,8 @@ class NodeProblem:
 
     ``targets`` is stored as real values for ridge and as integer class
     indices in ``[0, n_classes)`` for softmax; ``n_classes`` is only
-    meaningful for softmax.
+    meaningful for softmax.  :attr:`target_rows` is the form of the targets
+    that :func:`_sample_dloss` takes.
     """
 
     features: np.ndarray
@@ -135,6 +136,13 @@ class NodeProblem:
         """Each softmax sample's target logit as a flat index into its
         (classes, samples) outputs: y_j * m + j."""
         return self.targets * self.m + np.arange(self.m)
+
+    @cached_property
+    def target_rows(self) -> np.ndarray:
+        """Each sample's target as :func:`_sample_dloss` takes it: the ridge
+        values, or the softmax labels' one-hot rows, whose subtraction
+        costs less than indexing."""
+        return np.eye(self.outputs)[self.targets] if self.kind == "softmax" else self.targets
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -197,9 +205,9 @@ def _softmax_terms(z: np.ndarray, target_index: np.ndarray):
 def _sample_dloss(kind: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Derivative of :func:`_sample_loss` with respect to ``z``, laid out
     (samples, outputs): the residual for ridge, the softmax probabilities
-    minus the one-hot target for softmax.  A softmax ``y`` is the labels,
-    or their one-hot rows (:attr:`PooledShards.target_rows`), which give
-    the same bits: x - 0.0 is x for every float."""
+    minus the one-hot target for softmax.  ``y`` is the samples' rows of
+    :attr:`NodeProblem.target_rows`; subtracting a one-hot row gives the
+    bits of decrementing the target's class, as x - 0.0 is x."""
     if kind == "ridge":
         return z - y[:, None]
     # the row max class by class: a reduction along the short class axis
@@ -210,10 +218,7 @@ def _sample_dloss(kind: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     e = np.exp(z - top[:, None])
     # add.reduce is what e.sum calls, without its Python wrapper
     dz = e / np.add.reduce(e, axis=1, keepdims=True)
-    if y.ndim == 2:
-        np.subtract(dz, y, out=dz)
-    else:
-        dz[np.arange(y.size), y] -= 1.0
+    np.subtract(dz, y, out=dz)
     return dz
 
 
@@ -231,7 +236,7 @@ def local_gradient(p: NodeProblem, w, batch=None) -> np.ndarray:
     rows = _batch_rows(p, batch)
     x = p.features[rows]
     # np.dot: less call overhead than @ on the small batches of local SGD
-    dz = _sample_dloss(p.kind, np.dot(x, mat.T), p.targets[rows])
+    dz = _sample_dloss(p.kind, np.dot(x, mat.T), p.target_rows[rows])
     return (np.dot(dz.T, x) / rows.size + p.reg * mat).ravel()
 
 
@@ -253,7 +258,7 @@ def _grad_sq_norms(p: NodeProblem, w, xx: np.ndarray) -> np.ndarray:
     the samples' squared norms ``xx``, which do not depend on the model."""
     mat = _weights(p, w)
     z = p.features @ mat.T
-    dz = _sample_dloss(p.kind, z, p.targets)
+    dz = _sample_dloss(p.kind, z, p.target_rows)
     # grad_j = outer(dz_j, x_j) + reg * W and <outer(dz_j, x_j), W> = dz_j . z_j, so
     # |grad_j|^2 = dz_j . (dz_j |x_j|^2 + 2 reg z_j) + reg^2 |W|^2
     data_terms = np.einsum("ij,ij->i", dz, dz * xx[:, None] + 2.0 * p.reg * z)
@@ -292,14 +297,6 @@ class PooledShards:
         right-hand side of W X^T, which BLAS takes twice as fast from it
         as from a transposed view."""
         return np.ascontiguousarray(self.whole.features.T)
-
-    @cached_property
-    def target_rows(self) -> np.ndarray:
-        """Each pooled sample's target as the lockstep step gathers it for
-        :func:`_sample_dloss`: the ridge values, or the softmax labels'
-        one-hot rows, whose subtraction costs less than indexing."""
-        p = self.whole
-        return np.eye(p.outputs)[p.targets] if p.kind == "softmax" else p.targets
 
     @cached_property
     def before_target(self) -> np.ndarray:
@@ -440,7 +437,8 @@ def _softmax_pass(pool: PooledShards, stack: np.ndarray, accessible=None):
     if accessible is None:
         return loss, acc, None
     z_bar = wbar.reshape(p.outputs, -1) @ pool.features_t
-    dz = _sample_dloss(p.kind, z_split.T, p.targets) - _sample_dloss(p.kind, z_bar.T, p.targets)
+    y = p.target_rows
+    dz = _sample_dloss(p.kind, z_split.T, y) - _sample_dloss(p.kind, z_bar.T, y)
     grad = (pool.sample_weights[:, None] * dz).T @ p.features
     # the mean of the differences, which is 0 when nobody is dropped
     return loss, acc, grad.ravel() + p.reg * (split - wbar).mean(axis=0)
@@ -489,22 +487,6 @@ def global_accuracy(problems, models):
     return float(values[0]) if single else values
 
 
-def node_mean_gradient(problems, points) -> np.ndarray:
-    """Mean of the node gradients, node i's taken at ``points[i]``:
-    (1/n) sum_i grad F_i(points[i]) for an (n, d) ``points``.  The
-    sample-by-sample reference of the gradient gaps."""
-    pool = _pooled(problems)
-    p = pool.whole
-    points = np.asarray(points, dtype=float)
-    if points.shape != (pool.n, p.dim):
-        raise ValueError(f"points have shape {points.shape}, expected ({pool.n}, {p.dim})")
-    # every sample is evaluated at its own node's point, weighted 1/(n m_i)
-    mats = np.repeat(points, pool.sizes, axis=0).reshape(p.m, p.outputs, -1)
-    dz = _sample_dloss(p.kind, np.einsum("sd,skd->sk", p.features, mats), p.targets)
-    grad = (pool.sample_weights[:, None] * dz).T @ p.features
-    return grad.ravel() + p.reg * points.mean(axis=0)
-
-
 def _ridge_gradient_change(problems, points, base) -> np.ndarray:
     """(1/n) sum_i [grad F_i(points[i]) - grad F_i(base[i])] for ridge
     (n, d) ``points`` and ``base``.  Ridge gradients are affine, so this is
@@ -534,7 +516,7 @@ def lockstep_gradient(pool: PooledShards, mats: np.ndarray, rows: np.ndarray,
     # take: about half the time of fancy indexing at local SGD's shapes
     x = p.features.take(rows, axis=0)
     z = np.matmul(x, mats.transpose(0, 2, 1))
-    dz = _sample_dloss(p.kind, z.reshape(-1, p.outputs), pool.target_rows.take(rows.ravel(), axis=0))
+    dz = _sample_dloss(p.kind, z.reshape(-1, p.outputs), p.target_rows.take(rows.ravel(), axis=0))
     dz = dz.reshape(z.shape)
     if real is not None:
         np.multiply(dz, real, out=dz)

@@ -5,7 +5,8 @@ differences, inline gradient formulas) and never calls the code paths it
 is used to verify.  There are two library calls: the per-node
 ``local_gradient`` in :func:`local_sgd_loop`, which is itself held to
 central differences, and ``gap_term`` in :func:`gap_monotonicity_check`,
-whose monotonicity is what that function checks.
+whose monotonicity is what that function checks.  :func:`node_mean_gradient`
+reads a pooled view's stacked samples and weights, but not its scorers.
 """
 
 from __future__ import annotations
@@ -75,6 +76,28 @@ def gradient_gap_longdouble(problems, models: np.ndarray, mask: np.ndarray) -> f
 
     total = sum(grad(p, s) - grad(p, wbar) for p, s in zip(problems, split))
     return float(np.sqrt(np.sum((total / len(problems)) ** 2)))
+
+
+def softmax_dloss_by_labels(z: np.ndarray, y: np.ndarray, row_sum=lambda e: e.sum(axis=1)):
+    """The softmax derivative of (samples, classes) logits ``z`` against
+    the labels ``y``, by indexing: the row max by ``z.max(axis=1)``, the
+    row sum by ``row_sum``, and 1 taken off each sample's target class."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    dz = e / row_sum(e)[:, None]
+    dz[np.arange(y.size), y] -= 1.0
+    return dz
+
+
+def node_mean_gradient(pool, points: np.ndarray) -> np.ndarray:
+    """(1/n) sum_i grad F_i(points[i]) for an (n, d) ``points`` of a
+    pooled view, sample by sample: every sample is evaluated at its own
+    node's point and weighted 1/(n m_i)."""
+    p = pool.whole
+    mats = np.repeat(points, pool.sizes, axis=0).reshape(p.m, p.outputs, -1)
+    z = np.einsum("sd,skd->sk", p.features, mats)
+    dz = softmax_dloss_by_labels(z, p.targets) if p.kind == "softmax" else z - p.targets[:, None]
+    grad = (pool.sample_weights[:, None] * dz).T @ p.features
+    return grad.ravel() + p.reg * points.mean(axis=0)
 
 
 def per_sample_grad_sq_norms(p, w: np.ndarray) -> np.ndarray:
@@ -203,6 +226,19 @@ def dense_deemphasis(weights: np.ndarray, nodes, factor: float) -> np.ndarray:
         w[r, r] += removed.sum()
         w[idx, idx] += removed
     return w
+
+
+def dense_doubly_stochastic(array, tol: float) -> bool:
+    """True iff a dense square matrix is symmetric, entrywise in [0, 1] and
+    sums to 1 along every row and column, each within ``tol``; a NaN
+    fails."""
+    a = np.asarray(array, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return False
+    return bool(np.all(np.abs(a - a.T) <= tol)
+                and np.all((a >= -tol) & (a <= 1.0 + tol))
+                and np.all(np.abs(a.sum(axis=1) - 1.0) <= tol)
+                and np.all(np.abs(a.sum(axis=0) - 1.0) <= tol))
 
 
 def mix_in_row_order(models: np.ndarray, matrix) -> np.ndarray:

@@ -457,6 +457,13 @@ def _manifest_not_json(run):
     return run / "manifest.json", "Expecting property name"
 
 
+def _manifest_not_an_object(kind, payload):
+    def damage(run):
+        (run / "manifest.json").write_text(payload)
+        return run / "manifest.json", "manifest is not a JSON object"
+    return pytest.param(damage, id=f"_manifest_{kind}")
+
+
 def _manifest_without_config(run):
     return _edit_manifest(run, lambda m: m.pop("config")), "missing field 'config'"
 
@@ -468,6 +475,8 @@ def _unknown_eta_kind(run):
 
 @pytest.mark.parametrize("damage", [
     _manifest_not_json, _manifest_without_config, _bad_header, _cut_row, _unknown_eta_kind,
+    _manifest_not_an_object("null", "null"), _manifest_not_an_object("list", "[1]"),
+    _manifest_not_an_object("number", "3"),
 ])
 def test_check_reports_malformed_outputs_in_one_line(tmp_path, capsys, damage):
     cfg = _write_config(tmp_path, SMALL)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from gossipsim.gossip import (
     GossipMatrix,
+    _with_diagonal,
     active_nodes,
     build_gossip_matrix,
     deemphasize_rejoined,
@@ -32,6 +33,7 @@ from gossipsim.mobility import (
 )
 from oracles import (
     dense_deemphasis,
+    dense_doubly_stochastic,
     dense_links,
     dense_metropolis,
     mix_in_row_order,
@@ -203,18 +205,39 @@ def test_property_mixing_sums_each_row_in_link_order(drawn):
 
 
 @SETTINGS
-@given(shuffled_matrices())
-def test_property_verification_agrees_across_input_forms(drawn):
+@given(shuffled_matrices(), st.data())
+def test_property_verification_agrees_across_input_forms(drawn, data):
+    # the stored form's verdict is the dense check's verdict on the full
+    # matrix, for built, de-emphasised, bent and out-of-range weights
     G, scaled, _ = drawn
     for matrix in (G, scaled):
-        forms = (matrix, matrix.weights, matrix.weights.toarray())
-        assert [verify_doubly_stochastic(f) for f in forms] == [True] * 3
+        cases = [(matrix, True)]
         if matrix.w.size:
             w = matrix.w.copy()
             w[len(w) // 2] += 1e-6
-            bent = GossipMatrix(matrix.n, matrix.i, matrix.j, w, matrix.diag)
-            forms = (bent, bent.weights, bent.weights.toarray())
-            assert [verify_doubly_stochastic(f) for f in forms] == [False] * 3
+            cases.append((GossipMatrix(matrix.n, matrix.i, matrix.j, w, matrix.diag), False))
+        # a negative weight, a weight above 1 and a NaN: on the diagonal, or
+        # on a link, with the diagonal as it was or taking the rest of each row
+        for bad in (data.draw(st.floats(-1.0, -1e-6)), data.draw(st.floats(1.0 + 1e-6, 2.0)),
+                    math.nan):
+            diag = matrix.diag.copy()
+            diag[data.draw(st.integers(0, matrix.n - 1))] = bad
+            cases.append((GossipMatrix(matrix.n, matrix.i, matrix.j, matrix.w, diag), False))
+            if matrix.w.size:
+                w = matrix.w.copy()
+                w[data.draw(st.integers(0, w.size - 1))] = bad
+                cases.append((GossipMatrix(matrix.n, matrix.i, matrix.j, w, matrix.diag), False))
+                cases.append((_with_diagonal(matrix.n, matrix.i, matrix.j, w), False))
+        for case, want in cases:
+            assert verify_doubly_stochastic(case) == want
+            assert dense_doubly_stochastic(case.weights.toarray(), 1e-9) == want
+
+
+def test_verification_takes_only_a_gossip_matrix():
+    matrix = build_gossip_matrix(Adjacency(2, [[0, 1]]), np.ones(2, dtype=bool))
+    for form in (matrix.weights, matrix.weights.toarray()):
+        with pytest.raises(TypeError, match=type(form).__name__):
+            verify_doubly_stochastic(form)
 
 
 def test_network_round_at_ten_thousand_nodes_stays_sparse():

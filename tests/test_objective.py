@@ -24,7 +24,13 @@ from gossipsim.objective import (
     pool_shards,
     suite_digest,
 )
-from oracles import local_accuracy, numerical_gradient, ridge_loss_direct, softmax_loss_direct
+from oracles import (
+    local_accuracy,
+    numerical_gradient,
+    ridge_loss_direct,
+    softmax_dloss_by_labels,
+    softmax_loss_direct,
+)
 
 
 def _ridge(x, y, reg=1.0):
@@ -82,15 +88,6 @@ def test_empty_batch_rejected():
         local_gradient(_ridge([[1.0]], [2.0]), np.array([1.0]), batch=[])
 
 
-def _softmax_dloss_by_reductions(z, y, row_sum=lambda e: e.sum(axis=1)):
-    """The softmax branch of ``_sample_dloss`` with the row max taken by
-    ``z.max(axis=1)`` and the row sum by ``row_sum``."""
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    dz = e / row_sum(e)[:, None]
-    dz[np.arange(y.size), y] -= 1.0
-    return dz
-
-
 def _same_bits(a, b) -> bool:
     """Equal bit for bit, except that a NaN may differ from a NaN in sign
     and payload: ``z.max(axis=1)`` does not pin which NaN a row with a NaN
@@ -119,8 +116,8 @@ def test_softmax_dloss_takes_the_row_max_class_by_class_exactly(classes, rows, f
         z[mask] = rng.choice(SPECIAL_LOGITS, size=int(mask.sum()))
     y = rng.integers(0, classes, size=rows)
     with np.errstate(invalid="ignore", over="ignore"):
-        want = _softmax_dloss_by_reductions(z, y)
-        got = objective._sample_dloss("softmax", z, y)
+        want = softmax_dloss_by_labels(z, y)
+        got = objective._sample_dloss("softmax", z, np.eye(classes)[y])
     assert _same_bits(got, want)
 
 
@@ -137,9 +134,9 @@ def test_softmax_dloss_keeps_the_pairwise_class_sum():
     rng = np.random.default_rng(0)
     z = rng.normal(size=(300, 8))
     y = rng.integers(0, 8, size=300)
-    got = objective._sample_dloss("softmax", z, y)
-    assert np.array_equal(got, _softmax_dloss_by_reductions(z, y))
-    assert not np.array_equal(got, _softmax_dloss_by_reductions(z, y, running))
+    got = objective._sample_dloss("softmax", z, np.eye(8)[y])
+    assert np.array_equal(got, softmax_dloss_by_labels(z, y))
+    assert not np.array_equal(got, softmax_dloss_by_labels(z, y, running))
 
 
 @pytest.mark.parametrize("kind", ["ridge", "softmax"])

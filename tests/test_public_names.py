@@ -1,13 +1,14 @@
-"""Every public name and every dataclass field of the library has a user
-outside the tests.
+"""Every public name, every function and method, and every dataclass field
+of the library has a user outside the tests.
 
 A module's ``__all__`` may list only names that the package modules, the
 benchmark or the demos read: as a ``Name``, an ``Attribute`` or an
 imported name.  The package ``__init__`` only re-exports, so it does not
 count as a user, and neither does a test file.  A reference that only
-tests need belongs in ``tests/oracles.py``.  Likewise every field that a
-dataclass in the package declares must be read as an attribute by one of
-those users.
+tests need belongs in ``tests/oracles.py``.  The same holds for the name
+of every top-level function and every method other than a dunder, public
+or not.  Likewise every field that a dataclass in the package declares
+must be read as an attribute by one of those users.
 """
 
 from __future__ import annotations
@@ -47,6 +48,25 @@ def test_every_public_name_has_a_user_outside_the_tests():
     unused = [f"{p.stem}.{name}" for p in MODULES
               for name in _exported(ast.parse(p.read_text())) if name not in used]
     assert not unused, f"public names that only tests use: {', '.join(unused)}"
+
+
+def _defined_functions(tree: ast.Module) -> list:
+    """Top-level functions and the methods of top-level classes, without
+    dunders."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    names = [node.name for node in tree.body if isinstance(node, funcs)]
+    names += [f"{node.name}.{stmt.name}" for node in tree.body if isinstance(node, ast.ClassDef)
+              for stmt in node.body
+              if isinstance(stmt, funcs) and not stmt.name.startswith("__")]
+    return names
+
+
+def test_every_function_has_a_user_outside_the_tests():
+    used = set().union(*(_read_names(ast.parse(p.read_text())) for p in USERS))
+    defined = [(p.stem, name) for p in MODULES for name in _defined_functions(ast.parse(p.read_text()))]
+    assert len(defined) >= 100
+    unused = [f"{stem}.{name}" for stem, name in defined if name.rpartition(".")[2] not in used]
+    assert not unused, f"functions that only tests call: {', '.join(unused)}"
 
 
 # TraceRow's fields are the trace's columns, read by column name
